@@ -2,7 +2,7 @@
 
 Rank all samples once from cached model outcomes, then evaluate each new
 model on a small budgeted subset and extrapolate its full outcome vector;
-the transposed flow ranks new samples by querying a few models.
+ranking models (``sort_models_by_sum``) ranks new samples the same way.
 """
 
 from .baseline import copy_nearest_expand, copy_nearest_expand_from_truth
@@ -50,6 +50,7 @@ from .sort import (
     save_sums,
     sort_by_confidence_sum,
     sort_by_sum,
+    sort_models_by_sum,
     stable_append,
     threshold_all_rows,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "save_sums",
     "sort_by_confidence_sum",
     "sort_by_sum",
+    "sort_models_by_sum",
     "stable_append",
     "threshold_all_rows",
     "uniform_positions",

@@ -8,7 +8,10 @@ always zero.  An optional float32 matrix carries per-cell confidences.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,8 +90,6 @@ class AccuracyCache:
             dense = dense.astype(bool)
         m, n = dense.shape
         bits = np.packbits(dense.astype(np.uint8), axis=1, bitorder="little")
-        if bits.shape != (m, _row_bytes(n)):  # degenerate n=0
-            bits = np.zeros((m, _row_bytes(n)), dtype=np.uint8)
         return cls(m, n, bits, confidence)
 
     @property
@@ -126,8 +127,6 @@ class AccuracyCache:
         return ((self.bits[:, j // 8] >> (j % 8)) & 1).view(np.bool_)
 
     def to_dense(self) -> np.ndarray:
-        if self.num_models == 0 or self.num_samples == 0:
-            return np.zeros((self.num_models, self.num_samples), dtype=bool)
         return np.unpackbits(
             self.bits, axis=1, count=self.num_samples, bitorder="little"
         ).view(np.bool_)
@@ -165,8 +164,6 @@ class AccuracyCache:
         packed = np.packbits(
             row.astype(bool).astype(np.uint8), bitorder="little"
         )
-        if packed.shape != (_row_bytes(self.num_samples),):
-            packed = np.zeros(_row_bytes(self.num_samples), dtype=np.uint8)
         bits = np.vstack([self.bits, packed[None, :]]) if self.num_models else packed[None, :]
         conf = None
         if self.confidence is not None:
@@ -204,11 +201,6 @@ class AccuracyCache:
             raise ValueError("cache stores no confidences; confidence_col not allowed")
         return AccuracyCache(m, n + 1, bits, conf)
 
-    def transpose(self) -> "AccuracyCache":
-        """Samples-as-rows view of the same outcomes (repacked copy)."""
-        conf = self.confidence.T if self.confidence is not None else None
-        return AccuracyCache.from_dense(self.to_dense().T, conf)
-
 
 @dataclass(frozen=True, eq=False)
 class Permutation:
@@ -245,9 +237,6 @@ class Permutation:
             raise ValueError("length mismatch with permutation")
         return values[self.order]
 
-    def identity_like(self) -> bool:
-        return bool(np.array_equal(self.order, np.arange(self.order.size)))
-
 
 @dataclass(frozen=True)
 class ThresholdVector:
@@ -271,59 +260,83 @@ class ThresholdVector:
 # -- persistence -----------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _replacing_writer(path: str | Path):
+    """Handle on a temporary file that replaces ``path`` only on success, so
+    a failed write keeps the old file and mapped readers never see it shrink."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _unpack_header(
+    data: bytes, magic: bytes, header: struct.Struct, version: int
+) -> tuple:
+    """Header fields after magic and version, checking both."""
+    if len(data) < 4:
+        raise FormatError("truncated file: missing magic")
+    if data[:4] != magic:
+        raise FormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
+    if len(data) < header.size:
+        raise FormatError("truncated file: incomplete header")
+    _, found, *fields = header.unpack_from(data)
+    if found != version:
+        raise FormatError(f"unsupported version {found}")
+    return tuple(fields)
+
+
+def _check_size(size: int, expected: int, payload: str) -> None:
+    if size < expected:
+        raise FormatError(f"truncated file: {size} bytes, expected {expected}")
+    if size > expected:
+        raise FormatError(f"trailing bytes after {payload}")
+
+
 def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     """Write the cache in the LLBC binary format (little-endian)."""
+    m, n = cache.num_models, cache.num_samples
     flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _CACHE_MAGIC,
-                _CACHE_VERSION,
-                cache.num_models,
-                cache.num_samples,
-                flags,
-            )
-        )
+    with _replacing_writer(path) as fh:
+        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, n, flags))
         fh.write(cache.bits.tobytes())
         if cache.confidence is not None:
             fh.write(cache.confidence.astype("<f4").tobytes())
 
 
+def _map_block(path: str | Path, dtype: str, shape: tuple, offset: int) -> np.ndarray:
+    """Read-only memory map of one payload block (numpy cannot map 0 bytes)."""
+    if shape[0] * shape[1] == 0:
+        return np.zeros(shape, dtype=dtype)
+    block = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=shape)
+    return block.view(np.ndarray)
+
+
 def load_cache(path: str | Path) -> AccuracyCache:
-    """Read an LLBC file, verifying magic, version, size and padding."""
-    data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise FormatError("truncated file: missing magic")
-    if data[:4] != _CACHE_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {_CACHE_MAGIC!r}")
-    if len(data) < _HEADER.size:
-        raise FormatError("truncated file: incomplete header")
-    _, version, m, n, flags = _HEADER.unpack_from(data)
-    if version != _CACHE_VERSION:
-        raise FormatError(f"unsupported version {version}")
+    """Map an LLBC file read-only, verifying magic, version, size and padding."""
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+    m, n, flags = _unpack_header(head, _CACHE_MAGIC, _HEADER, _CACHE_VERSION)
     if flags & ~_FLAG_CONFIDENCE:
         raise FormatError(f"unsupported flags {flags:#x}")
     rb = _row_bytes(n)
     bits_len = m * rb
     conf_len = m * n * 4 if flags & _FLAG_CONFIDENCE else 0
-    expected = _HEADER.size + bits_len + conf_len
-    if len(data) < expected:
-        raise FormatError(
-            f"truncated file: {len(data)} bytes, expected {expected}"
-        )
-    if len(data) > expected:
-        raise FormatError("trailing bytes after cache payload")
-    bits = np.frombuffer(data, dtype=np.uint8, count=bits_len, offset=_HEADER.size)
-    bits = bits.reshape(m, rb)
+    _check_size(size, _HEADER.size + bits_len + conf_len, "cache payload")
+    bits = _map_block(path, "u1", (m, rb), _HEADER.size)
     mask = _pad_mask(n)
     if mask and m and np.any(bits[:, -1] & mask):
         raise FormatError("nonzero padding bits in stored rows")
     confidence = None
     if flags & _FLAG_CONFIDENCE:
-        confidence = np.frombuffer(
-            data, dtype="<f4", count=m * n, offset=_HEADER.size + bits_len
-        ).reshape(m, n)
-    return AccuracyCache(m, n, bits.copy(), confidence)
+        confidence = _map_block(path, "<f4", (m, n), _HEADER.size + bits_len)
+    return AccuracyCache(m, n, bits, confidence)
 
 
 def import_csv(path: str | Path, has_confidence: bool = False) -> AccuracyCache:

@@ -46,6 +46,7 @@ from .sort import (
     save_sums,
     sort_by_confidence_sum,
     sort_by_sum,
+    sort_models_by_sum,
 )
 
 PAPER_BUDGETS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
@@ -184,7 +185,7 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
     cache = load_cache(args.cache)
     if cache.num_models == 0:
         raise ValueError("cache has no models to rank")
-    model_sort = sort_by_sum(cache.transpose())
+    model_sort = sort_models_by_sum(cache)
     strategy = SamplingStrategy(args.strategy)
     outcomes = _read_binary_vector(args.outcomes) if args.outcomes else None
     if outcomes is not None and outcomes.size != cache.num_models:

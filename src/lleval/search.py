@@ -187,8 +187,8 @@ def evaluate_new_sample(
 ) -> tuple[ThresholdVector, SampleSelection]:
     """Rank a new sample by querying ``budget`` models.
 
-    ``model_sort`` must come from sorting the transposed cache, so ranks run
-    from the most accurate model down.  The returned threshold counts models
+    ``model_sort`` must come from ``sort_models_by_sum``, so ranks run from
+    the most accurate model down.  The returned threshold counts models
     expected to get the sample right: higher means easier.
     """
     return evaluate_new_model(model_sort, oracle, budget, strategy, seed)

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import AccuracyCache, FormatError, Permutation, ThresholdVector
+from .cache import AccuracyCache, Permutation, ThresholdVector
+from .cache import _check_size, _replacing_writer, _unpack_header
 from .search import dp_search
 
 _PERM_MAGIC = b"LLPM"
@@ -23,9 +24,8 @@ _SUMS_MAGIC = b"LLSM"
 _IO_VERSION = 1
 _IO_HEADER = struct.Struct("<4sIQ")  # magic, version, length
 
-# counting argsort pays off on long arrays with a narrow value range
-_COUNTING_MIN_LENGTH = 1 << 16
-_COUNTING_MAX_RANGE = 1 << 12
+# packed bytes popcounted at once when ranking models: bounds that scratch
+_POPCOUNT_CHUNK_BYTES = 1 << 22
 
 
 class SortMethod(str, Enum):
@@ -55,36 +55,15 @@ class SortResult:
         return len(self.permutation)
 
 
-def _counting_argsort_desc(sums: np.ndarray, vmin: int, vmax: int) -> np.ndarray:
-    """Stable descending argsort of small-range ints in O(range * n) scans.
-
-    Scratch stays at one index array plus an O(range) histogram, which keeps
-    large sorts inside the two-arrays working-memory contract.
-    """
-    n = sums.size
-    counts = np.bincount(sums - vmin if vmin else sums, minlength=vmax - vmin + 1)
-    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    order = np.empty(n, dtype=dtype)
-    offset = 0
-    for v in range(vmax, vmin - 1, -1):
-        c = int(counts[v - vmin])
-        if not c:
-            continue
-        order[offset : offset + c] = np.flatnonzero(sums == v)
-        offset += c
-    return order
-
-
 def _descending_stable_argsort(sums: np.ndarray) -> np.ndarray:
-    """Indices ordering ``sums`` descending, equal values by ascending index."""
-    n = sums.size
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if np.issubdtype(sums.dtype, np.integer) and n >= _COUNTING_MIN_LENGTH:
-        vmin = int(sums.min())
+    """Indices ordering ``sums`` descending, equal values by ascending index.
+
+    Integers spanning under 2**16 become uint16 keys, which numpy radix-sorts.
+    """
+    if np.issubdtype(sums.dtype, np.integer) and sums.size:
         vmax = int(sums.max())
-        if vmax - vmin <= _COUNTING_MAX_RANGE:
-            return _counting_argsort_desc(sums, vmin, vmax)
+        if vmax - int(sums.min()) < 1 << 16:
+            return np.argsort((vmax - sums).astype(np.uint16), kind="stable")
     return np.argsort(-sums, kind="stable")
 
 
@@ -104,6 +83,21 @@ def _tied_runs(values: np.ndarray) -> list[tuple[int, int]]:
 def sort_by_sum(cache: AccuracyCache) -> SortResult:
     """Rank columns by how many rows hit them (popcount), easy first."""
     sums = cache.column_sums()
+    order = _descending_stable_argsort(sums)
+    return SortResult(Permutation(order), sums[order], SortMethod.SUM)
+
+
+def sort_models_by_sum(cache: AccuracyCache) -> SortResult:
+    """Rank models (rows) as ``sort_by_sum`` ranks columns, most accurate first.
+
+    Popcounts packed rows in chunks, so no m x n matrix is ever built.
+    """
+    bits = cache.bits
+    step = max(1, _POPCOUNT_CHUNK_BYTES // max(1, bits.shape[1]))
+    sums = np.empty(cache.num_models, dtype=np.int64)
+    for lo in range(0, cache.num_models, step):
+        hi = lo + step
+        np.bitwise_count(bits[lo:hi]).sum(axis=1, dtype=np.int64, out=sums[lo:hi])
     order = _descending_stable_argsort(sums)
     return SortResult(Permutation(order), sums[order], SortMethod.SUM)
 
@@ -219,7 +213,7 @@ def stable_append(sort: SortResult, predicted: ThresholdVector) -> SortResult:
 
 
 def save_permutation(perm: Permutation, path: str | Path) -> None:
-    with open(path, "wb") as fh:
+    with _replacing_writer(path) as fh:
         fh.write(_IO_HEADER.pack(_PERM_MAGIC, _IO_VERSION, len(perm)))
         fh.write(perm.order.astype("<u8").tobytes())
 
@@ -231,7 +225,7 @@ def load_permutation(path: str | Path) -> Permutation:
 
 def save_sums(sums: np.ndarray, path: str | Path) -> None:
     sums = np.asarray(sums)
-    with open(path, "wb") as fh:
+    with _replacing_writer(path) as fh:
         fh.write(_IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size))
         fh.write(sums.astype("<f8").tobytes())
 
@@ -242,19 +236,7 @@ def load_sums(path: str | Path) -> np.ndarray:
 
 def _read_array_file(path: str | Path, magic: bytes, dtype: str) -> np.ndarray:
     data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise FormatError("truncated file: missing magic")
-    if data[:4] != magic:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
-    if len(data) < _IO_HEADER.size:
-        raise FormatError("truncated file: incomplete header")
-    _, version, length = _IO_HEADER.unpack_from(data)
-    if version != _IO_VERSION:
-        raise FormatError(f"unsupported version {version}")
-    itemsize = np.dtype(dtype).itemsize
-    expected = _IO_HEADER.size + length * itemsize
-    if len(data) < expected:
-        raise FormatError(f"truncated file: {len(data)} bytes, expected {expected}")
-    if len(data) > expected:
-        raise FormatError("trailing bytes after payload")
+    (length,) = _unpack_header(data, magic, _IO_HEADER, _IO_VERSION)
+    expected = _IO_HEADER.size + length * np.dtype(dtype).itemsize
+    _check_size(len(data), expected, "payload")
     return np.frombuffer(data, dtype=dtype, count=length, offset=_IO_HEADER.size)

@@ -10,7 +10,11 @@ from lleval import (
     ThresholdVector,
     import_csv,
     load_cache,
+    load_permutation,
+    load_sums,
     save_cache,
+    save_permutation,
+    save_sums,
 )
 
 
@@ -250,6 +254,71 @@ class TestPersistence:
         with pytest.raises(FormatError, match="trailing"):
             load_cache(path)
 
+    def test_load_maps_without_copy(self, tmp_path):
+        import tracemalloc
+
+        m, n = 64, 1_000_003  # about 8 MB; the ragged last byte checks padding
+        rng = np.random.default_rng(14)
+        bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
+        bits[:, -1] &= 0x07
+        cache = AccuracyCache(m, n, bits)
+        path = tmp_path / "cache.llbc"
+        save_cache(cache, path)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - before < 1 << 20
+        assert not loaded.bits.flags.writeable
+        assert loaded == cache
+
+    @pytest.mark.parametrize(
+        "save, load, value",
+        [
+            (save_cache, load_cache, AccuracyCache.from_dense(np.eye(3, 11) > 0)),
+            (save_permutation, load_permutation, Permutation(np.array([2, 0, 1]))),
+            (save_sums, load_sums, np.array([4.0, 2.5, 1.0])),
+        ],
+    )
+    def test_failed_write_keeps_old_file(
+        self, tmp_path, monkeypatch, save, load, value
+    ):
+        import lleval.cache
+
+        path = tmp_path / "artifact"
+        save(value, path)
+        old = path.read_bytes()
+
+        class FailingFile:
+            """Writes the first chunk, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(
+            lleval.cache, "open", lambda *a: FailingFile(open(*a)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            save(value, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        load(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
 
 class TestCsvImport:
     def test_binary(self, tmp_path):
@@ -290,15 +359,6 @@ class TestCsvImport:
         path.write_text("")
         cache = import_csv(path)
         assert (cache.num_models, cache.num_samples) == (0, 0)
-
-
-class TestTranspose:
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        dense = rng.random((5, 9)) < 0.4
-        cache = AccuracyCache.from_dense(dense)
-        assert np.array_equal(cache.transpose().to_dense(), dense.T)
-        assert cache.transpose().transpose() == cache
 
 
 class TestPermutationType:

@@ -273,6 +273,22 @@ class TestInsertSample:
         assert record["threshold"] == 0  # hardest possible sample
 
 
+    def test_append_onto_the_input_cache(self, small_setup):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        outcomes_path = tmp_path / "col.csv"
+        write_vector(outcomes_path, dense[:, 0] ^ (np.arange(12) % 5 == 0))
+        args = ["insert-sample", "--cache", str(cache_path),
+                "--outcomes", str(outcomes_path), "--budget", "5"]
+        separate = tmp_path / "grown.llbc"
+        assert main(args + ["--append-out", str(separate)]) == 0
+        # the input is memory-mapped while the grown cache replaces it
+        assert main(args + ["--append-out", str(cache_path)]) == 0
+        grown = load_cache(cache_path)
+        assert grown == load_cache(separate)
+        assert np.array_equal(grown.to_dense()[:, :60], dense)
+        assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
+
 class TestSimulate:
     def test_smoke_writes_all_artifacts(self, tmp_path):
         out_dir = tmp_path / "sim"

@@ -17,6 +17,7 @@ from lleval import (
     prediction_to_dict,
     random_positions,
     sort_by_sum,
+    sort_models_by_sum,
     uniform_positions,
 )
 
@@ -263,7 +264,7 @@ class TestEvaluateNewSample:
     def test_full_budget_matches_dp(self):
         rng = np.random.default_rng(65)
         cache = AccuracyCache.from_dense(rng.random((12, 30)) < 0.6)
-        model_sort = sort_by_sum(cache.transpose())
+        model_sort = sort_models_by_sum(cache)
         outcomes = rng.random(12) < 0.5
         pred, _ = evaluate_new_sample(
             model_sort, lambda i: bool(outcomes[i]), budget=12
@@ -274,7 +275,7 @@ class TestEvaluateNewSample:
     def test_sample_every_model_gets_right_is_easiest(self):
         rng = np.random.default_rng(66)
         cache = AccuracyCache.from_dense(rng.random((9, 20)) < 0.5)
-        model_sort = sort_by_sum(cache.transpose())
+        model_sort = sort_models_by_sum(cache)
         pred, _ = evaluate_new_sample(model_sort, lambda i: True, budget=4)
         assert pred.k == 9
 
@@ -283,7 +284,7 @@ class TestEvaluateNewSample:
 
         spec = SynthSpec(80, 300, temperature=1e-6, noise=0.0, seed=42)
         cache, abilities, _ = generate(spec)
-        model_sort = sort_by_sum(cache.transpose())
+        model_sort = sort_models_by_sum(cache)
         rng = np.random.default_rng(67)
         for _ in range(20):
             difficulty = float(rng.random())

@@ -18,10 +18,11 @@ from lleval import (
     save_sums,
     sort_by_confidence_sum,
     sort_by_sum,
+    sort_models_by_sum,
     stable_append,
     threshold_all_rows,
 )
-from lleval.sort import _counting_argsort_desc, _descending_stable_argsort
+from lleval.sort import _POPCOUNT_CHUNK_BYTES, _descending_stable_argsort
 
 
 def cache_with_column_sums(sums):
@@ -62,13 +63,41 @@ class TestSortBySum:
                 result.permutation.apply(cache.column_sums()), result.sums
             )
 
-    def test_counting_path_matches_argsort(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            sums = rng.integers(3, 17, size=int(rng.integers(1, 400))).astype(np.int32)
-            fast = _counting_argsort_desc(sums, int(sums.min()), int(sums.max()))
-            slow = np.argsort(-sums, kind="stable")
-            assert np.array_equal(fast, slow)
+
+class TestSortModelsBySum:
+    def test_matches_sort_of_transposed_cache(self):
+        rng = np.random.default_rng(23)
+        shapes = [(1, 13), (1, 8), (7, 1), (40, 3)]  # (40, 3) forces ties
+        shapes += rng.integers(1, 70, size=(40, 2)).tolist()
+        for m, n in shapes:
+            cache = AccuracyCache.from_dense(rng.random((m, n)) < rng.random())
+            got = sort_models_by_sum(cache)
+            want = sort_by_sum(AccuracyCache.from_dense(cache.to_dense().T))
+            assert np.array_equal(got.permutation.order, want.permutation.order)
+            assert np.array_equal(got.sums, want.sums)
+            assert got.method is SortMethod.SUM
+
+    def test_no_samples_keeps_model_order(self):
+        result = sort_models_by_sum(AccuracyCache.from_dense(np.zeros((4, 0), bool)))
+        assert np.array_equal(result.permutation.order, [0, 1, 2, 3])
+        assert np.array_equal(result.sums, [0, 0, 0, 0])
+
+    def test_scratch_memory_is_one_chunk(self):
+        import tracemalloc
+
+        m, n = 500, 400_000
+        rng = np.random.default_rng(24)
+        bits = rng.integers(0, 256, size=(m, n // 8), dtype=np.uint8)
+        cache = AccuracyCache(m, n, bits)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = sort_models_by_sum(cache)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(result.permutation) == m
+        # one chunk of popcounts plus length-m arrays; an m x n array is 200 MB
+        assert peak - before <= _POPCOUNT_CHUNK_BYTES + (1 << 20)
 
 
 class TestSortByConfidenceSum:
@@ -311,3 +340,18 @@ class TestDescendingStableArgsort:
             got = _descending_stable_argsort(vals)
             want = np.lexsort((np.arange(n), -vals.astype(np.float64)))
             assert np.array_equal(got, want)
+
+    def test_radix_path_matches_lexsort(self):
+        rng = np.random.default_rng(51)
+        cases = []
+        for n in (1_000, 70_000):  # either side of 2**16 items
+            for lo, span in ((7, 0), (-3, 65_535), (0, 65_536), (-40_000, 60_000)):
+                # span 65_536 cannot fit uint16 keys and must take the fallback
+                vals = rng.integers(lo, lo + span + 1, size=n)
+                vals[:2] = lo, lo + span
+                cases.append(vals)
+                cases.append(vals.astype(np.int32))
+            cases.append(rng.integers(0, 40, size=n) / 4.0)  # confidence sums
+        for vals in cases:
+            want = np.lexsort((np.arange(vals.size), -vals.astype(np.float64)))
+            assert np.array_equal(_descending_stable_argsort(vals), want)
