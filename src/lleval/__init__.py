@@ -2,7 +2,8 @@
 
 Rank all samples once from cached model outcomes, then evaluate each new
 model on a small budgeted subset and extrapolate its full outcome vector;
-ranking models (``sort_models_by_sum``) ranks new samples the same way.
+``evaluate_new_model`` on a ranking of the models (``sort_models_by_sum``)
+ranks new samples the same way.
 """
 
 from .baseline import copy_nearest_expand, copy_nearest_expand_from_truth
@@ -32,7 +33,6 @@ from .search import (
     dp_search,
     evaluate_from_truth,
     evaluate_new_model,
-    evaluate_new_sample,
     extrapolate,
     prediction_from_dict,
     prediction_to_dict,
@@ -84,7 +84,6 @@ __all__ = [
     "error_decomposition",
     "evaluate_from_truth",
     "evaluate_new_model",
-    "evaluate_new_sample",
     "extrapolate",
     "fit_exp_decay",
     "generate",

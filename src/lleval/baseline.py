@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cache import AccuracyCache
-from .search import Oracle
+from .search import Oracle, _batch_oracle
 
 
 def _nearest_fill(
@@ -19,6 +19,15 @@ def _nearest_fill(
     return prediction
 
 
+def _draw_positions(cache: AccuracyCache, budget: int, seed: int) -> np.ndarray:
+    if cache.num_models == 0:
+        raise ValueError("cache has no reference rows")
+    if not 1 <= budget <= cache.num_samples:
+        raise ValueError(f"budget {budget} outside [1, {cache.num_samples}]")
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(cache.num_samples, size=budget, replace=False))
+
+
 def copy_nearest_expand(
     cache: AccuracyCache, oracle: Oracle, budget: int, seed: int
 ) -> np.ndarray:
@@ -28,29 +37,16 @@ def copy_nearest_expand(
     difficulty ranking).  The reference row minimizing Hamming distance on
     the observed positions fills every unobserved entry.
     """
-    if cache.num_models == 0:
-        raise ValueError("cache has no reference rows")
-    if not 1 <= budget <= cache.num_samples:
-        raise ValueError(f"budget {budget} outside [1, {cache.num_samples}]")
-    rng = np.random.default_rng(seed)
-    positions = np.sort(rng.choice(cache.num_samples, size=budget, replace=False))
-    outcomes = np.empty(budget, dtype=bool)
-    for t in range(budget):
-        outcomes[t] = bool(oracle(int(positions[t])))
-    return _nearest_fill(cache, positions, outcomes)
+    positions = _draw_positions(cache, budget, seed)
+    return _nearest_fill(cache, positions, _batch_oracle(oracle)(positions))
 
 
 def copy_nearest_expand_from_truth(
     cache: AccuracyCache, truth: np.ndarray, budget: int, seed: int
 ) -> np.ndarray:
-    """Vectorized twin of copy_nearest_expand for a fully known outcome row."""
-    if cache.num_models == 0:
-        raise ValueError("cache has no reference rows")
-    if not 1 <= budget <= cache.num_samples:
-        raise ValueError(f"budget {budget} outside [1, {cache.num_samples}]")
+    """``copy_nearest_expand`` for a fully known outcome row."""
+    positions = _draw_positions(cache, budget, seed)
     truth = np.asarray(truth).astype(bool)
     if truth.shape != (cache.num_samples,):
         raise ValueError("truth length does not match cache columns")
-    rng = np.random.default_rng(seed)
-    positions = np.sort(rng.choice(cache.num_samples, size=budget, replace=False))
     return _nearest_fill(cache, positions, truth[positions])

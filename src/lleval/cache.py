@@ -9,11 +9,14 @@ always zero.  An optional float32 matrix carries per-cell confidences.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import os
 import struct
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -273,6 +276,14 @@ def _replacing_writer(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """CSV rows (CR LF line ends) written in one piece by ``_replacing_writer``."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    with _replacing_writer(path) as fh:
+        fh.write(text.getvalue().encode())
 
 
 def _unpack_header(

@@ -8,7 +8,6 @@ inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shlex
@@ -20,19 +19,25 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import copy_nearest_expand_from_truth
-from .cache import AccuracyCache, import_csv, load_cache, save_cache
+from .cache import (
+    AccuracyCache,
+    _replacing_writer,
+    _write_rows,
+    import_csv,
+    load_cache,
+    save_cache,
+)
 from .metrics import (
     ErrorReport,
+    RankedTruth,
     error_decomposition,
     fit_exp_decay,
     write_error_curve,
 )
 from .search import (
     SamplingStrategy,
-    dp_search,
     evaluate_from_truth,
     evaluate_new_model,
-    evaluate_new_sample,
     prediction_from_dict,
     prediction_to_dict,
 )
@@ -82,7 +87,8 @@ def _parse_budgets(text: str | None, total: int) -> list[int]:
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _replacing_writer(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _command_oracle(command: str):
@@ -197,7 +203,7 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         pred, sel = evaluate_from_truth(model_sort, outcomes, budget, strategy, args.seed)
     else:
         oracle = _command_oracle(args.oracle_cmd)
-        pred, sel = evaluate_new_sample(model_sort, oracle, budget, strategy, args.seed)
+        pred, sel = evaluate_new_model(model_sort, oracle, budget, strategy, args.seed)
     record = prediction_to_dict(pred, sel)
     record["difficulty_rank"] = pred.k  # models expected to solve it
     if outcomes is not None:
@@ -213,7 +219,9 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         order = model_sort.permutation.order
         column = np.zeros(cache.num_models, dtype=bool)
         column[order[: pred.k]] = True
-        save_cache(cache.append_column(column), args.append_out)
+        # a stored confidence binarizes at 0.5, so 0/1 round-trips the column
+        confidence = None if cache.confidence is None else column.astype(np.float32)
+        save_cache(cache.append_column(column, confidence), args.append_out)
     return 0
 
 
@@ -227,30 +235,13 @@ def _simulate_model(
     model_index: int,
     run_baseline: bool,
 ) -> tuple[list[ErrorReport], list[float]]:
-    n = truth.size
-    ranked = truth[sort_result.permutation.order]
-    prefix = np.concatenate(([0], np.cumsum(ranked, dtype=np.int64)))
-    ones = int(prefix[-1])
-    k_best = dp_search(ranked).k
-
-    def mismatches(k: int) -> int:
-        before = int(prefix[k])
-        return (k - before) + (ones - before)
-
+    scorer = RankedTruth(truth, sort_result.permutation)
     reports = []
     baseline_maes = []
     for budget in budgets:
         derived = _derived_seed(seed, model_index, budget)
         pred, _ = evaluate_from_truth(sort_result, truth, budget, strategy, derived)
-        reports.append(
-            ErrorReport(
-                mae=mismatches(pred.k) / n,
-                agg_error=abs(pred.k - ones) / n,
-                aleatoric=mismatches(k_best) / n,
-                epistemic=abs(k_best - pred.k) / n,
-                budget=budget,
-            )
-        )
+        reports.append(scorer.report(pred.k, budget))
         if run_baseline:
             guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, derived)
             baseline_maes.append(float(np.mean(guess != truth)))
@@ -325,13 +316,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     baseline_rows = []
     if run_baseline:
-        with open(out_dir / "baseline.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["budget", "mae"])
-            for bi, budget in enumerate(budgets):
-                med = float(np.median([res[1][bi] for res in per_model]))
-                baseline_rows.append({"budget": budget, "mae": med})
-                writer.writerow([budget, repr(med)])
+        for bi, budget in enumerate(budgets):
+            med = float(np.median([res[1][bi] for res in per_model]))
+            baseline_rows.append({"budget": budget, "mae": med})
+        rows = [(r["budget"], repr(r["mae"])) for r in baseline_rows]
+        _write_rows(out_dir / "baseline.csv", [("budget", "mae")] + rows)
 
     if len(budgets) >= 4:
         fit = fit_exp_decay(

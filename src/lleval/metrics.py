@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cache import Permutation, ThresholdVector
+from .cache import Permutation, ThresholdVector, _write_rows
 from .search import dp_search
 
 CURVE_FIELDS = ("budget", "mae", "agg_error", "aleatoric", "epistemic")
@@ -58,11 +57,43 @@ def _check_lengths(truth: np.ndarray, pred: ThresholdVector) -> np.ndarray:
     return truth
 
 
-def _mismatch_count(ranked_truth: np.ndarray, k: int) -> int:
-    # zeros among the first k ranks plus ones among the rest
-    ones_before = int(ranked_truth[:k].sum())
-    ones = int(ranked_truth.sum())
-    return (k - ones_before) + (ones - ones_before)
+class RankedTruth:
+    """One outcome row in rank order, scored against step vectors [1]*k + [0]*rest.
+
+    Built once per (truth, permutation) and then scored at any number of
+    cuts; the best cut is searched only when a report first needs it.
+    """
+
+    def __init__(self, truth: np.ndarray, perm: Permutation) -> None:
+        self.ranked = truth[perm.order]
+        self.ones = int(np.count_nonzero(self.ranked))
+        self._best_k: int | None = None
+
+    @property
+    def best_k(self) -> int:
+        # not functools.cached_property: before 3.12 it locks across instances
+        if self._best_k is None:
+            self._best_k = dp_search(self.ranked).k
+        return self._best_k
+
+    def mismatches(self, k: int) -> int:
+        """Zeros among the first k ranks plus ones among the rest."""
+        before = int(np.count_nonzero(self.ranked[:k]))
+        return (k - before) + (self.ones - before)
+
+    def report(self, k: int, budget: int) -> ErrorReport:
+        """Error components of the cut k, see ``error_decomposition``."""
+        n = self.ranked.size
+        if n == 0:
+            return ErrorReport(0.0, 0.0, 0.0, 0.0, budget)
+        best = self.best_k
+        return ErrorReport(
+            mae=self.mismatches(k) / n,
+            agg_error=abs(k - self.ones) / n,
+            aleatoric=self.mismatches(best) / n,
+            epistemic=abs(best - k) / n,
+            budget=budget,
+        )
 
 
 def mae(truth: np.ndarray, pred: ThresholdVector, perm: Permutation) -> float:
@@ -72,7 +103,7 @@ def mae(truth: np.ndarray, pred: ThresholdVector, perm: Permutation) -> float:
         raise ValueError("permutation length does not match truth")
     if truth.size == 0:
         return 0.0
-    return _mismatch_count(truth[perm.order], pred.k) / truth.size
+    return RankedTruth(truth, perm).mismatches(pred.k) / truth.size
 
 
 def agg_error(truth: np.ndarray, pred: ThresholdVector) -> float:
@@ -124,18 +155,7 @@ def error_decomposition(
     truth = _check_lengths(truth, pred)
     if len(perm) != truth.size:
         raise ValueError("permutation length does not match truth")
-    n = truth.size
-    if n == 0:
-        return ErrorReport(0.0, 0.0, 0.0, 0.0, budget)
-    ranked = truth[perm.order]
-    k_best = dp_search(ranked).k
-    return ErrorReport(
-        mae=_mismatch_count(ranked, pred.k) / n,
-        agg_error=abs(pred.k - int(truth.sum())) / n,
-        aleatoric=_mismatch_count(ranked, k_best) / n,
-        epistemic=abs(k_best - pred.k) / n,
-        budget=budget,
-    )
+    return RankedTruth(truth, perm).report(pred.k, budget)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -227,16 +247,8 @@ def fit_exp_decay(
 
 def write_error_curve(path: str | Path, reports: Iterable[ErrorReport]) -> None:
     """CSV of per-budget error components, one row per report."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_FIELDS)
-        for report in reports:
-            writer.writerow(
-                [
-                    report.budget,
-                    repr(report.mae),
-                    repr(report.agg_error),
-                    repr(report.aleatoric),
-                    repr(report.epistemic),
-                ]
-            )
+    rows = [
+        (r.budget, repr(r.mae), repr(r.agg_error), repr(r.aleatoric), repr(r.epistemic))
+        for r in reports
+    ]
+    _write_rows(path, [CURVE_FIELDS] + rows)

@@ -120,6 +120,38 @@ def _pick_positions(
     return random_positions(total, budget, seed)
 
 
+def _batch_oracle(oracle: Oracle) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch view of a per-index oracle: asks it once per index, in order."""
+
+    def observe(indices: np.ndarray) -> np.ndarray:
+        answers = (bool(oracle(i)) for i in indices.tolist())
+        return np.fromiter(answers, dtype=bool, count=indices.size)
+
+    return observe
+
+
+def _evaluate(
+    sort: "SortResult",
+    observe: Callable[[np.ndarray], np.ndarray],
+    budget: int,
+    strategy: SamplingStrategy,
+    seed: int | None,
+) -> tuple[ThresholdVector, SampleSelection]:
+    """Observe ``budget`` ranked positions at their original indices, extrapolate."""
+    order = sort.permutation.order
+    total = order.size
+    positions = _pick_positions(total, budget, strategy, seed)
+    outcomes = observe(order[positions])
+    strategy = SamplingStrategy(strategy)
+    selection = SampleSelection(
+        positions,
+        outcomes,
+        strategy,
+        seed if strategy is SamplingStrategy.RANDOM else None,
+    )
+    return extrapolate(selection, total), selection
+
+
 def evaluate_new_model(
     sort: "SortResult",
     oracle: Oracle,
@@ -130,23 +162,12 @@ def evaluate_new_model(
     """Predict a new model's full outcome vector from ``budget`` queries.
 
     Positions are chosen in rank coordinates; the oracle is asked exactly
-    ``budget`` times, at the corresponding original sample indices.
+    ``budget`` times, at the corresponding original sample indices.  Given a
+    ranking of models from ``sort_models_by_sum``, it ranks a new sample
+    instead: the threshold counts the models expected to get it right, so
+    higher means easier.
     """
-    order = sort.permutation.order
-    total = order.size
-    positions = _pick_positions(total, budget, strategy, seed)
-    original = order[positions]
-    outcomes = np.empty(budget, dtype=bool)
-    for t in range(budget):
-        outcomes[t] = bool(oracle(int(original[t])))
-    strategy = SamplingStrategy(strategy)
-    selection = SampleSelection(
-        positions,
-        outcomes,
-        strategy,
-        seed if strategy is SamplingStrategy.RANDOM else None,
-    )
-    return extrapolate(selection, total), selection
+    return _evaluate(sort, _batch_oracle(oracle), budget, strategy, seed)
 
 
 def evaluate_from_truth(
@@ -156,42 +177,15 @@ def evaluate_from_truth(
     strategy: SamplingStrategy = SamplingStrategy.UNIFORM,
     seed: int | None = None,
 ) -> tuple[ThresholdVector, SampleSelection]:
-    """Vectorized twin of evaluate_new_model for a fully known outcome row.
+    """``evaluate_new_model`` for a fully known outcome row.
 
     ``truth`` is indexed in original coordinates; results are identical to
     wrapping it in a per-index oracle.
     """
-    order = sort.permutation.order
-    total = order.size
     truth = np.asarray(truth).astype(bool)
-    if truth.shape != (total,):
+    if truth.shape != (sort.num_samples,):
         raise ValueError("truth length does not match permutation")
-    positions = _pick_positions(total, budget, strategy, seed)
-    outcomes = truth[order[positions]]
-    strategy = SamplingStrategy(strategy)
-    selection = SampleSelection(
-        positions,
-        outcomes,
-        strategy,
-        seed if strategy is SamplingStrategy.RANDOM else None,
-    )
-    return extrapolate(selection, total), selection
-
-
-def evaluate_new_sample(
-    model_sort: "SortResult",
-    oracle: Oracle,
-    budget: int,
-    strategy: SamplingStrategy = SamplingStrategy.UNIFORM,
-    seed: int | None = None,
-) -> tuple[ThresholdVector, SampleSelection]:
-    """Rank a new sample by querying ``budget`` models.
-
-    ``model_sort`` must come from ``sort_models_by_sum``, so ranks run from
-    the most accurate model down.  The returned threshold counts models
-    expected to get the sample right: higher means easier.
-    """
-    return evaluate_new_model(model_sort, oracle, budget, strategy, seed)
+    return _evaluate(sort, truth.__getitem__, budget, strategy, seed)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cache import AccuracyCache, Permutation, ThresholdVector
 from .cache import _check_size, _replacing_writer, _unpack_header
+from .metrics import RankedTruth
 from .search import dp_search
 
 _PERM_MAGIC = b"LLPM"
@@ -139,16 +140,11 @@ def objective(
         raise ValueError("one threshold per row required")
     if m * n == 0:
         return 0.0
-    order = perm.order
     total = 0
-    for i in range(m):
-        tv = thresholds[i]
+    for i, tv in enumerate(thresholds):
         if tv.length != n:
             raise ValueError("threshold length does not match cache columns")
-        row = cache.row(i)[order]
-        ones_before = int(row[: tv.k].sum())
-        ones = int(row.sum())
-        total += (tv.k - ones_before) + (ones - ones_before)
+        total += RankedTruth(cache.row(i), perm).mismatches(tv.k)
     return total / (m * n)
 
 

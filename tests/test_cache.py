@@ -1,10 +1,14 @@
 """Cache construction, persistence round-trips, and format error reporting."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from lleval import (
     AccuracyCache,
+    ErrorReport,
     FormatError,
     Permutation,
     ThresholdVector,
@@ -15,7 +19,10 @@ from lleval import (
     save_cache,
     save_permutation,
     save_sums,
+    write_error_curve,
 )
+from lleval.cache import _write_rows
+from lleval.cli import _write_json
 
 
 def random_cache(rng, m, n, with_confidence=False):
@@ -280,6 +287,24 @@ class TestPersistence:
             (save_cache, load_cache, AccuracyCache.from_dense(np.eye(3, 11) > 0)),
             (save_permutation, load_permutation, Permutation(np.array([2, 0, 1]))),
             (save_sums, load_sums, np.array([4.0, 2.5, 1.0])),
+            pytest.param(
+                lambda payload, path: _write_json(path, payload),
+                lambda path: json.loads(path.read_text()),
+                {"mae": 0.25, "budget": 8},
+                id="write_json",
+            ),
+            pytest.param(
+                lambda reports, path: write_error_curve(path, reports),
+                lambda path: list(csv.reader(path.open(newline=""))),
+                [ErrorReport(0.5, 0.25, 0.125, 0.0, 8)],
+                id="write_error_curve",
+            ),
+            pytest.param(  # simulate's baseline.csv
+                lambda rows, path: _write_rows(path, rows),
+                lambda path: list(csv.reader(path.open(newline=""))),
+                [("budget", "mae"), (8, "0.5")],
+                id="write_rows",
+            ),
         ],
     )
     def test_failed_write_keeps_old_file(
@@ -292,10 +317,10 @@ class TestPersistence:
         old = path.read_bytes()
 
         class FailingFile:
-            """Writes the first chunk, then fails as a full disk would."""
+            """Writes half of the first chunk, then fails as a full disk would."""
 
             def __init__(self, fh):
-                self.fh, self.writes = fh, 0
+                self.fh = fh
 
             def __enter__(self):
                 return self
@@ -304,10 +329,8 @@ class TestPersistence:
                 self.fh.close()
 
             def write(self, data):
-                self.writes += 1
-                if self.writes > 1:
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
 
         monkeypatch.setattr(
             lleval.cache, "open", lambda *a: FailingFile(open(*a)), raising=False

@@ -1,13 +1,23 @@
 """End-to-end command flows, exit codes, and artifact idempotency."""
 
+import hashlib
 import json
 import sys
 
 import numpy as np
 import pytest
 
-from lleval import load_cache
-from lleval.cli import main
+from lleval import (
+    AccuracyCache,
+    SynthSpec,
+    error_decomposition,
+    evaluate_from_truth,
+    generate,
+    load_cache,
+    sort_by_sum,
+    sort_models_by_sum,
+)
+from lleval.cli import _derived_seed, main
 
 
 def write_matrix_csv(path, dense):
@@ -288,6 +298,32 @@ class TestInsertSample:
         assert np.array_equal(grown.to_dense()[:, :60], dense)
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
+    def test_append_to_confidence_cache(self, tmp_path):
+        rng = np.random.default_rng(91)
+        conf = rng.random((9, 20))
+        csv_path = tmp_path / "conf.csv"
+        csv_path.write_text(
+            "\n".join(",".join(f"{v:.3f}" for v in row) for row in conf) + "\n"
+        )
+        cache_path = tmp_path / "conf.llbc"
+        assert main(["import", "--csv", str(csv_path), "--out", str(cache_path),
+                     "--confidence"]) == 0
+        cache = load_cache(cache_path)
+        outcomes = np.zeros(9, dtype=bool)
+        outcomes[sort_models_by_sum(cache).permutation.order[:4]] = True
+        outcomes_path = tmp_path / "col.csv"
+        write_vector(outcomes_path, outcomes)
+        grown_path = tmp_path / "grown.llbc"
+        assert main(["insert-sample", "--cache", str(cache_path),
+                     "--outcomes", str(outcomes_path), "--budget", "9",
+                     "--report", str(tmp_path / "r.json"),
+                     "--append-out", str(grown_path)]) == 0
+        grown = load_cache(grown_path)
+        assert np.array_equal(grown.column(20), outcomes)
+        assert np.array_equal(grown.confidence[:, 20], outcomes.astype(np.float32))
+        assert np.array_equal(grown.confidence[:, :20], cache.confidence)
+        assert np.array_equal(grown.confidence >= 0.5, grown.to_dense())
+
 
 class TestSimulate:
     def test_smoke_writes_all_artifacts(self, tmp_path):
@@ -361,6 +397,31 @@ class TestSimulate:
         assert summary["sort_models"] == 20
         assert summary["holdout_models"] == 10
 
+    def test_curve_matches_library_scoring(self, tmp_path):
+        budgets = [3, 8, 50, 128, 700]
+        out_dir = tmp_path / "sim"
+        rc = main(
+            ["simulate", "--models", "20", "--holdout", "1", "--samples", "700",
+             "--tau", "0.2", "--noise", "0.05", "--seed", "6",
+             "--budgets", ",".join(map(str, budgets)), "--strategy", "random",
+             "--skip-baseline", "--out", str(out_dir)]
+        )
+        assert rc == 0
+        spec = SynthSpec(21, 700, temperature=0.2, noise=0.05, seed=6)
+        cache, _, _ = generate(spec)
+        ranking = sort_by_sum(AccuracyCache(20, 700, cache.bits[:20]))
+        truth = cache.row(20)
+        rows = (out_dir / "curve.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(budgets)
+        for row, budget in zip(rows, budgets):
+            seed = _derived_seed(6, 0, budget)
+            pred, _ = evaluate_from_truth(ranking, truth, budget, "random", seed)
+            r = error_decomposition(truth, pred, ranking.permutation, budget)
+            assert row.split(",") == [
+                str(budget), repr(r.mae), repr(r.agg_error), repr(r.aleatoric),
+                repr(r.epistemic),
+            ]
+
     def test_idempotent_and_thread_invariant(self, tmp_path, monkeypatch):
         args = [
             "simulate",
@@ -431,3 +492,67 @@ class TestMetricsCommand:
         rc = main(["sort", "--cache", str(bad), "--out", str(tmp_path / "p.llpm")])
         assert rc == 1
         assert "magic" in capsys.readouterr().err
+
+
+def _digests(out_dir):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out_dir.iterdir())
+    }
+
+
+class TestGoldenArtifacts:
+    """Artifact bytes pinned by sha256, so a refactor cannot drift outputs."""
+
+    # the baseline ignores --strategy
+    BASELINE = "f53b2029b290f6043f2b6168ac23a3738e6174f26adfac103b4c574c80fddad0"
+    SIMULATE = {
+        "uniform": {
+            "baseline.csv": BASELINE,
+            "curve.csv": "4a6c90306a772dd314e5a80b78ec7d00e4bcd01c58b1b7a9b5581a385429c78e",
+            "fit.json": "5df6d20ad9999b0db514768782dbf165a1fed65d43c1382219278a720eada5cd",
+            "summary.json": "21d3465543cedaf1a3b6cb522608a663f477a64eee6d639ef2267be3a8a4687d",
+        },
+        "random": {
+            "baseline.csv": BASELINE,
+            "curve.csv": "22665787e81edbcbceef6f433335cac6547e2cf8414a73d7c0e8cba54f181e88",
+            "fit.json": "eea9ed82361f985d00b3aaa9031ed0fed1491a51eb1c639c2d6950661c6cb68c",
+            "summary.json": "1c34cdcd5dd99dc1d04406d7f06e8004c6e0f6035917e8a5f53a3713815ed6e2",
+        },
+    }
+    EVAL_MODEL = {
+        "curve.csv": "bb55e54c6ec52dc4966376d5f7f4ef3326cb00a1435ff4efa919d2ee715df05e",
+        "prediction_4.json": "6ee2fb2911ce812be43dc99481214a363d2805cd6e857a253548dde70f0cec4a",
+        "prediction_9.json": "c64b031cb697c61eac0421904a1da6a65572d708b5d0442f53b4bc153f8beaea",
+        "prediction_30.json": "4f9f5412866ee447c416aee41b701ec27316349b44aa8adc4c41d0ba95e5b9b3",
+        "prediction_60.json": "1ad10c5dd3a8e738bb5f40fe08065da44c4dcc9519c94ce986015295d59ba9ac",
+        "report_4.json": "a514b344c5e407c1589718382cda5bcebed7dccab111b8ef73ff7142a5acefaa",
+        "report_9.json": "15b2fbba33cdc9343e11b0af6a28dc147a629b555d0e84d67a99d78590a3d4cd",
+        "report_30.json": "39f7a29761724d3c1a366f7738fd7f8ef8ec32b137fe846fc1f4bf2467c7ba6c",
+        "report_60.json": "ac970376a679f2cc34de1190d13bbd82f4d110a3b6430eb7fe33504da5d346ce",
+    }
+
+    @pytest.mark.parametrize("strategy", ["uniform", "random"])
+    def test_simulate(self, tmp_path, strategy):
+        out_dir = tmp_path / "sim"
+        rc = main(
+            ["simulate", "--models", "20", "--holdout", "5", "--samples", "600",
+             "--tau", "0.2", "--noise", "0.05", "--seed", "11",
+             "--budgets", "8,16,32,64,128", "--strategy", strategy,
+             "--out", str(out_dir)]
+        )
+        assert rc == 0
+        assert _digests(out_dir) == self.SIMULATE[strategy]
+
+    def test_eval_model_truth(self, small_setup):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        truth_path = tmp_path / "truth.csv"
+        write_vector(truth_path, dense[3] ^ (np.arange(60) % 7 == 0))
+        out_dir = tmp_path / "eval"
+        rc = main(
+            ["eval-model", "--perm", str(perm_path), "--cache", str(cache_path),
+             "--truth", str(truth_path), "--budgets", "4,9,30,60",
+             "--strategy", "random", "--seed", "5", "--out", str(out_dir)]
+        )
+        assert rc == 0
+        assert _digests(out_dir) == self.EVAL_MODEL

@@ -11,7 +11,6 @@ from lleval import (
     dp_search,
     evaluate_from_truth,
     evaluate_new_model,
-    evaluate_new_sample,
     extrapolate,
     prediction_from_dict,
     prediction_to_dict,
@@ -210,8 +209,11 @@ class TestEvaluateNewModel:
             calls.append(j)
             return True
 
-        evaluate_new_model(result, oracle, budget=7)
+        _, sel = evaluate_new_model(result, oracle, budget=7)
         assert len(calls) == 7
+        # once per index, in rank order, as plain ints
+        assert calls == result.permutation.order[sel.positions].tolist()
+        assert all(type(j) is int for j in calls)
 
     def test_matches_truth_fast_path(self):
         rng = np.random.default_rng(63)
@@ -266,7 +268,7 @@ class TestEvaluateNewSample:
         cache = AccuracyCache.from_dense(rng.random((12, 30)) < 0.6)
         model_sort = sort_models_by_sum(cache)
         outcomes = rng.random(12) < 0.5
-        pred, _ = evaluate_new_sample(
+        pred, _ = evaluate_new_model(
             model_sort, lambda i: bool(outcomes[i]), budget=12
         )
         ranked = outcomes[model_sort.permutation.order]
@@ -276,7 +278,7 @@ class TestEvaluateNewSample:
         rng = np.random.default_rng(66)
         cache = AccuracyCache.from_dense(rng.random((9, 20)) < 0.5)
         model_sort = sort_models_by_sum(cache)
-        pred, _ = evaluate_new_sample(model_sort, lambda i: True, budget=4)
+        pred, _ = evaluate_new_model(model_sort, lambda i: True, budget=4)
         assert pred.k == 9
 
     def test_known_difficulty_percentile_recovered(self):
@@ -291,7 +293,7 @@ class TestEvaluateNewSample:
             outcomes = abilities > difficulty  # noise-free step model
             true_rank = int(outcomes.sum())
             budget = int(rng.integers(4, 81))
-            pred, _ = evaluate_new_sample(
+            pred, _ = evaluate_new_model(
                 model_sort, lambda i: bool(outcomes[i]), budget
             )
             assert abs(pred.k - true_rank) <= 80 / budget + 1

@@ -173,6 +173,19 @@ class TestObjective:
         cache = AccuracyCache.from_dense(np.zeros((0, 0), dtype=bool))
         assert objective(cache, Permutation(np.array([], dtype=int)), []) == 0.0
 
+    def test_random_thresholds_match_brute_force(self):
+        rng = np.random.default_rng(75)
+        for _ in range(30):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+            dense = rng.random((m, n)) < rng.random()
+            cache = AccuracyCache.from_dense(dense)
+            perm = Permutation(rng.permutation(n))
+            ks = rng.integers(0, n + 1, size=m)
+            step = np.arange(n) < ks[:, None]
+            expected = np.count_nonzero(dense[:, perm.order] != step) / (m * n)
+            thresholds = [ThresholdVector(n, int(k)) for k in ks]
+            assert objective(cache, perm, thresholds) == expected
+
     def test_shape_mismatch(self):
         cache = AccuracyCache.from_dense(np.ones((2, 3), dtype=bool))
         perm = Permutation(np.arange(3))
