@@ -5,16 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from .cache import AccuracyCache
-from .search import Oracle, _batch_oracle
+from .search import Oracle, _batch_oracle, random_positions
 
 
 def _nearest_fill(
     cache: AccuracyCache, positions: np.ndarray, outcomes: np.ndarray
 ) -> np.ndarray:
-    sampled = (cache.bits[:, positions // 8] >> (positions % 8).astype(np.uint8)) & 1
-    distances = (sampled != outcomes.astype(np.uint8)).sum(axis=1)
+    distances = (cache.bits_at(positions) != outcomes).sum(axis=1)
     nearest = int(np.argmin(distances))  # ties: lowest row index
-    prediction = cache.row(nearest).copy()
+    prediction = cache.row(nearest)
     prediction[positions] = outcomes
     return prediction
 
@@ -22,10 +21,7 @@ def _nearest_fill(
 def _draw_positions(cache: AccuracyCache, budget: int, seed: int) -> np.ndarray:
     if cache.num_models == 0:
         raise ValueError("cache has no reference rows")
-    if not 1 <= budget <= cache.num_samples:
-        raise ValueError(f"budget {budget} outside [1, {cache.num_samples}]")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(cache.num_samples, size=budget, replace=False))
+    return random_positions(cache.num_samples, budget, seed)
 
 
 def copy_nearest_expand(

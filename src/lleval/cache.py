@@ -4,6 +4,7 @@ The cache records, for m models and n samples, whether model i got sample j
 right.  Rows are packed 8 columns per byte (column j sits at bit j % 8 of
 byte j // 8, least-significant bit first); padding bits past column n are
 always zero.  An optional float32 matrix carries per-cell confidences.
+This module is the only one that reads or writes the packed bits.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ _FLAG_CONFIDENCE = 1 << 0
 _HEADER = struct.Struct("<4sIQQQ")  # magic, version, m, n, flags
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+# packed bytes popcounted at once by ``row_sums``: bounds that scratch
+_POPCOUNT_CHUNK_BYTES = 1 << 22
 
 
 class FormatError(ValueError):
@@ -80,20 +84,35 @@ class AccuracyCache:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def from_rows(
+        cls,
+        num_samples: int,
+        rows: Iterable[np.ndarray],
+        confidence: np.ndarray | None = None,
+    ) -> "AccuracyCache":
+        """Pack 0/1 rows of length ``num_samples``, reading one row at a time."""
+        packed = []
+        for row in rows:
+            row = np.asarray(row)
+            if row.shape != (num_samples,):
+                raise ValueError(
+                    f"row length {row.shape} does not match {num_samples} samples"
+                )
+            if row.dtype != bool and not ((row == 0) | (row == 1)).all():
+                raise ValueError("row entries must be 0 or 1")
+            packed.append(np.packbits(row.astype(bool, copy=False), bitorder="little"))
+        rb = _row_bytes(num_samples)
+        bits = np.array(packed, dtype=np.uint8).reshape(len(packed), rb)
+        return cls(len(packed), num_samples, bits, confidence)
+
+    @classmethod
     def from_dense(
         cls, matrix: np.ndarray, confidence: np.ndarray | None = None
     ) -> "AccuracyCache":
         dense = np.asarray(matrix)
         if dense.ndim != 2:
             raise ValueError("dense matrix must be 2-dimensional")
-        if dense.dtype != bool:
-            vals = np.unique(dense)
-            if vals.size and not np.isin(vals, (0, 1)).all():
-                raise ValueError("dense matrix entries must be 0 or 1")
-            dense = dense.astype(bool)
-        m, n = dense.shape
-        bits = np.packbits(dense.astype(np.uint8), axis=1, bitorder="little")
-        return cls(m, n, bits, confidence)
+        return cls.from_rows(dense.shape[1], dense, confidence)
 
     @property
     def has_confidence(self) -> bool:
@@ -123,34 +142,59 @@ class AccuracyCache:
             self.bits[i], count=self.num_samples, bitorder="little"
         ).view(np.bool_)
 
+    def bits_at(self, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Boolean (models, len(cols)) block of every model, or of ``rows``."""
+        cols = np.atleast_1d(cols)  # a 0-d index would slice a read-only view
+        if cols.size and (cols.min() < 0 or cols.max() >= self.num_samples):
+            raise IndexError(f"column index out of range [0, {self.num_samples})")
+        if rows is None:  # a plain slice; np.ix_ over every row is ~7x slower
+            block = self.bits[:, cols // 8]
+        else:
+            block = self.bits[np.ix_(rows, cols // 8)]
+        # in place on the gathered copy: one block-sized array at a time
+        block >>= (cols % 8).astype(np.uint8)
+        block &= 1
+        return block.view(np.bool_)
+
     def column(self, j: int) -> np.ndarray:
         """Boolean outcomes of every model on sample j."""
-        if not 0 <= j < self.num_samples:
-            raise IndexError(f"column {j} out of range")
-        return ((self.bits[:, j // 8] >> (j % 8)) & 1).view(np.bool_)
+        return self.bits_at([j])[:, 0]
+
+    def first_models(self, k: int) -> "AccuracyCache":
+        """The cache of models 0..k-1, sharing this cache's memory."""
+        if not 0 <= k <= self.num_models:
+            raise ValueError(f"{k} models outside [0, {self.num_models}]")
+        conf = None if self.confidence is None else self.confidence[:k]
+        return AccuracyCache(k, self.num_samples, self.bits[:k], conf)
 
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(
             self.bits, axis=1, count=self.num_samples, bitorder="little"
         ).view(np.bool_)
 
-    def column_sums(self, use_confidence: bool = False) -> np.ndarray:
-        """Per-column totals: popcounts, or confidence sums when requested.
+    def column_sums(self) -> np.ndarray:
+        """Per-column popcounts.
 
-        The binary path accumulates one row at a time so the only persistent
-        scratch is the length-n accumulator.
+        Accumulates one row at a time, so the only persistent scratch is the
+        length-n accumulator.
         """
-        if use_confidence:
-            if self.confidence is None:
-                raise ValueError("cache has no confidence matrix")
-            return self.confidence.sum(axis=0, dtype=np.float64)
         dtype = np.int32 if self.num_models <= _INT32_MAX else np.int64
         sums = np.zeros(self.num_samples, dtype=dtype)
         for i in range(self.num_models):
-            row = np.unpackbits(
-                self.bits[i], count=self.num_samples, bitorder="little"
-            )
-            np.add(sums, row, out=sums)
+            np.add(sums, self.row(i), out=sums)
+        return sums
+
+    def row_sums(self) -> np.ndarray:
+        """Per-row popcounts (int64).
+
+        Counts packed rows in chunks, so no m x n matrix is ever built.
+        """
+        bits = self.bits
+        step = max(1, _POPCOUNT_CHUNK_BYTES // max(1, bits.shape[1]))
+        sums = np.empty(self.num_models, dtype=np.int64)
+        for lo in range(0, self.num_models, step):
+            hi = lo + step
+            np.bitwise_count(bits[lo:hi]).sum(axis=1, dtype=np.int64, out=sums[lo:hi])
         return sums
 
     # -- growth ------------------------------------------------------------
@@ -159,15 +203,7 @@ class AccuracyCache:
         self, row: np.ndarray, confidence_row: np.ndarray | None = None
     ) -> "AccuracyCache":
         """New cache with one more model; existing rows are untouched."""
-        row = np.asarray(row)
-        if row.shape != (self.num_samples,):
-            raise ValueError(
-                f"row length {row.shape} does not match {self.num_samples} samples"
-            )
-        packed = np.packbits(
-            row.astype(bool).astype(np.uint8), bitorder="little"
-        )
-        bits = np.vstack([self.bits, packed[None, :]]) if self.num_models else packed[None, :]
+        bits = np.vstack([self.bits, AccuracyCache.from_rows(self.num_samples, [row]).bits])
         conf = None
         if self.confidence is not None:
             if confidence_row is None:
@@ -189,8 +225,7 @@ class AccuracyCache:
                 f"column length {col.shape} does not match {self.num_models} models"
             )
         m, n = self.num_models, self.num_samples
-        new_rb = _row_bytes(n + 1)
-        bits = np.zeros((m, new_rb), dtype=np.uint8)
+        bits = np.zeros((m, _row_bytes(n + 1)), dtype=np.uint8)
         bits[:, : _row_bytes(n)] = self.bits
         bits[:, n // 8] |= col.astype(bool).astype(np.uint8) << (n % 8)
         conf = None
@@ -388,9 +423,6 @@ def import_csv(path: str | Path, has_confidence: bool = False) -> AccuracyCache:
                     f"row {lineno}, column {colno}: value {v} is not 0 or 1"
                 )
         rows.append(values)
-    if not rows:
-        return AccuracyCache.from_dense(np.zeros((0, 0), dtype=bool))
-    matrix = np.array(rows, dtype=np.float64)
-    if has_confidence:
-        return AccuracyCache.from_dense(matrix >= 0.5, matrix.astype(np.float32))
-    return AccuracyCache.from_dense(matrix.astype(bool))
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+    confidence = matrix.astype(np.float32) if has_confidence else None
+    return AccuracyCache.from_dense(matrix >= 0.5, confidence)

@@ -277,10 +277,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cache_full, _, _ = generate(spec)
     if args.save_cache:
         save_cache(cache_full, args.save_cache)
-    n = spec.num_samples
-    sort_cache = AccuracyCache(args.models, n, cache_full.bits[: args.models])
+    sort_cache = cache_full.first_models(args.models)
     sort_result = sort_by_sum(sort_cache)
-    budgets = _parse_budgets(args.budgets, n)
+    budgets = _parse_budgets(args.budgets, spec.num_samples)
     strategy = SamplingStrategy(args.strategy)
     run_baseline = not args.skip_baseline
 
@@ -292,11 +291,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     threads = int(os.environ.get("LLEVAL_THREADS", "0")) or (os.cpu_count() or 1)
     threads = max(1, min(threads, args.holdout))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_model = list(pool.map(work, range(args.holdout)))
-    else:
-        per_model = [work(h) for h in range(args.holdout)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_model = list(pool.map(work, range(args.holdout)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,10 @@
 """Difficulty ranking of cache columns and its stability under growth.
 
 All variants order columns easy-to-hard: descending per-column totals, ties
-broken by ascending original index.  Recursive refinement re-sorts tied
-groups using only the rows whose optimal cut falls inside the group, since
-no other row can tell the tied columns apart.
+broken by ascending original index; the cache computes the totals and this
+module only orders them.  Recursive refinement re-sorts tied groups using
+only the rows whose optimal cut falls inside the group, since no other row
+can tell the tied columns apart.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ _PERM_MAGIC = b"LLPM"
 _SUMS_MAGIC = b"LLSM"
 _IO_VERSION = 1
 _IO_HEADER = struct.Struct("<4sIQ")  # magic, version, length
-
-# packed bytes popcounted at once when ranking models: bounds that scratch
-_POPCOUNT_CHUNK_BYTES = 1 << 22
 
 
 class SortMethod(str, Enum):
@@ -70,44 +68,34 @@ def _descending_stable_argsort(sums: np.ndarray) -> np.ndarray:
 
 def _tied_runs(values: np.ndarray) -> list[tuple[int, int]]:
     """Maximal [lo, hi] runs of equal adjacent values with at least 2 items."""
-    runs: list[tuple[int, int]] = []
-    n = values.size
-    lo = 0
-    for i in range(1, n + 1):
-        if i == n or values[i] != values[lo]:
-            if i - lo >= 2:
-                runs.append((lo, i - 1))
-            lo = i
-    return runs
+    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
+    edges = np.concatenate(([0], edges, [values.size]))
+    lo, hi = edges[:-1], edges[1:]
+    tied = hi - lo >= 2
+    return list(zip(lo[tied].tolist(), (hi[tied] - 1).tolist()))
+
+
+def _ranked(totals: np.ndarray, method: SortMethod) -> SortResult:
+    order = _descending_stable_argsort(totals)
+    return SortResult(Permutation(order), totals[order], method)
 
 
 def sort_by_sum(cache: AccuracyCache) -> SortResult:
     """Rank columns by how many rows hit them (popcount), easy first."""
-    sums = cache.column_sums()
-    order = _descending_stable_argsort(sums)
-    return SortResult(Permutation(order), sums[order], SortMethod.SUM)
+    return _ranked(cache.column_sums(), SortMethod.SUM)
 
 
 def sort_models_by_sum(cache: AccuracyCache) -> SortResult:
-    """Rank models (rows) as ``sort_by_sum`` ranks columns, most accurate first.
-
-    Popcounts packed rows in chunks, so no m x n matrix is ever built.
-    """
-    bits = cache.bits
-    step = max(1, _POPCOUNT_CHUNK_BYTES // max(1, bits.shape[1]))
-    sums = np.empty(cache.num_models, dtype=np.int64)
-    for lo in range(0, cache.num_models, step):
-        hi = lo + step
-        np.bitwise_count(bits[lo:hi]).sum(axis=1, dtype=np.int64, out=sums[lo:hi])
-    order = _descending_stable_argsort(sums)
-    return SortResult(Permutation(order), sums[order], SortMethod.SUM)
+    """Rank models (rows) as ``sort_by_sum`` ranks columns, most accurate first."""
+    return _ranked(cache.row_sums(), SortMethod.SUM)
 
 
 def sort_by_confidence_sum(cache: AccuracyCache) -> SortResult:
     """Same ranking computed on the confidence matrix's column sums."""
-    sums = cache.column_sums(use_confidence=True)
-    order = _descending_stable_argsort(sums)
-    return SortResult(Permutation(order), sums[order], SortMethod.CONFIDENCE_SUM)
+    if cache.confidence is None:
+        raise ValueError("cache has no confidence matrix")
+    sums = cache.confidence.sum(axis=0, dtype=np.float64)
+    return _ranked(sums, SortMethod.CONFIDENCE_SUM)
 
 
 def _row_thresholds(cache: AccuracyCache, order: np.ndarray) -> np.ndarray:
@@ -148,14 +136,6 @@ def objective(
     return total / (m * n)
 
 
-def _group_sums(
-    cache: AccuracyCache, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    bytes_block = cache.bits[np.ix_(rows, cols // 8)]
-    bits = (bytes_block >> (cols % 8).astype(np.uint8)) & 1
-    return bits.sum(axis=0, dtype=np.int64)
-
-
 def recursive_sort_by_sum(cache: AccuracyCache, max_depth: int = 2) -> SortResult:
     """Sum ranking with iterative tie refinement.
 
@@ -182,7 +162,7 @@ def recursive_sort_by_sum(cache: AccuracyCache, max_depth: int = 2) -> SortResul
                 next_blocks.append((lo, hi))
                 continue
             cols = order[lo : hi + 1]
-            sub = _group_sums(cache, rows, cols)
+            sub = cache.bits_at(cols, rows).sum(axis=0, dtype=np.int64)
             within = _descending_stable_argsort(sub)
             order[lo : hi + 1] = cols[within]
             for l2, h2 in _tied_runs(sub[within]):

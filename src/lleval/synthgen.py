@@ -70,13 +70,10 @@ class SynthSpec:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form stays finite for any argument magnitude
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each sign takes the float steps of the
+    # two-branch form 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _params(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -100,18 +97,16 @@ def generate(
     """Draw a cache; returns (cache, abilities, difficulties)."""
     difficulties, abilities = _params(spec)
     m, n = spec.num_models, spec.num_samples
-    row_bytes = (n + 7) // 8
-    bits = np.zeros((m, row_bytes), dtype=np.uint8)
     confidence = np.zeros((m, n), dtype=np.float32) if include_confidence else None
-    for i in range(m):
-        p = _correct_probability(spec, float(abilities[i]), difficulties)
-        u = np.random.default_rng([spec.seed, _ROW_STREAM, i]).random(n)
-        row = u < p
-        if n:
-            bits[i] = np.packbits(row.astype(np.uint8), bitorder="little")
-        if confidence is not None:
-            confidence[i] = p
-    cache = AccuracyCache(m, n, bits, confidence)
+
+    def rows():
+        for i in range(m):
+            p = _correct_probability(spec, float(abilities[i]), difficulties)
+            if confidence is not None:
+                confidence[i] = p  # filled before from_rows checks it
+            yield np.random.default_rng([spec.seed, _ROW_STREAM, i]).random(n) < p
+
+    cache = AccuracyCache.from_rows(n, rows(), confidence)
     return cache, abilities, difficulties
 
 

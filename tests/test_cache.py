@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from lleval import (
     save_cache,
     save_permutation,
     save_sums,
+    sort_by_confidence_sum,
     write_error_curve,
 )
+import lleval
 from lleval.cache import _write_rows
 from lleval.cli import _write_json
 
@@ -54,6 +58,37 @@ class TestConstruction:
             cache = AccuracyCache.from_dense(np.zeros((m, n), dtype=bool))
             assert cache.num_models == m
             assert cache.num_samples == n
+
+    def test_from_rows_matches_from_dense(self):
+        rng = np.random.default_rng(12)
+        for m, n in [(0, 0), (0, 5), (3, 0), (1, 8), (4, 13)]:
+            dense = rng.random((m, n)) < 0.5
+            conf = rng.random((m, n)).astype(np.float32)
+            want = AccuracyCache.from_dense(dense, conf)
+            got = AccuracyCache.from_rows(n, (row for row in dense), conf)
+            assert got == want
+            assert got.bits.shape == want.bits.shape
+            assert AccuracyCache.from_rows(n, dense.astype(np.uint8)) == (
+                AccuracyCache.from_dense(dense)
+            )
+
+    def test_from_rows_checks_each_row(self):
+        with pytest.raises(ValueError, match="length"):
+            AccuracyCache.from_rows(3, [np.zeros(3, bool), np.zeros(4, bool)])
+        with pytest.raises(ValueError, match="0 or 1"):
+            AccuracyCache.from_rows(2, [np.array([0, 2])])
+
+    def test_first_models_is_the_leading_rows(self):
+        rng = np.random.default_rng(13)
+        dense = rng.random((6, 11)) < 0.5
+        conf = rng.random((6, 11)).astype(np.float32)
+        cache = AccuracyCache.from_dense(dense, conf)
+        for k in range(7):
+            assert cache.first_models(k) == AccuracyCache.from_dense(dense[:k], conf[:k])
+        assert AccuracyCache.from_dense(dense).first_models(2).confidence is None
+        for k in (-1, 7):
+            with pytest.raises(ValueError, match="models"):
+                cache.first_models(k)
 
     def test_nonzero_padding_rejected(self):
         bits = np.array([[0xFF]], dtype=np.uint8)  # n=3 leaves 5 padding bits
@@ -130,6 +165,41 @@ class TestAppend:
         assert np.array_equal(grown.row(0), np.ones(9, dtype=bool))
 
 
+class TestBitsAt:
+    def test_matches_dense_indexing(self):
+        rng = np.random.default_rng(14)
+        for m, n in [(1, 1), (5, 13), (9, 21), (4, 64), (0, 7)]:
+            dense = rng.random((m, n)) < 0.5
+            cache = AccuracyCache.from_dense(dense)
+            cols = rng.integers(0, n, size=2 * n)  # unsorted, with repeats
+            rows = rng.permutation(m)[: m // 2 + 1]
+            assert cache.bits_at(cols).dtype == bool
+            assert np.array_equal(cache.bits_at(cols), dense[:, cols])
+            assert np.array_equal(cache.bits_at(cols, rows), dense[np.ix_(rows, cols)])
+            for j in range(n):
+                assert np.array_equal(cache.column(j), dense[:, j])
+
+    def test_out_of_range_columns_rejected(self):
+        cache = AccuracyCache.from_dense(np.ones((2, 13), dtype=bool))
+        for bad in (13, 15, -1):
+            with pytest.raises(IndexError, match="out of range"):
+                cache.bits_at(np.array([0, bad]))
+            with pytest.raises(IndexError, match="out of range"):
+                cache.column(bad)
+
+
+class TestPackedLayout:
+    def test_only_cache_touches_packed_bits(self):
+        pattern = re.compile(r"\.bits\b|packbits|unpackbits|bitwise_count")
+        package = Path(lleval.__file__).parent
+        offenders = [
+            path.name
+            for path in sorted(package.glob("*.py"))
+            if path.name != "cache.py" and pattern.search(path.read_text())
+        ]
+        assert offenders == []
+
+
 class TestColumnSums:
     def test_hand_counted(self):
         cache = AccuracyCache.from_dense(np.array([[1, 0, 1], [1, 1, 0]], dtype=bool))
@@ -155,16 +225,16 @@ class TestColumnSums:
             assert np.array_equal(cache.column_sums(), brute)
 
     def test_confidence_sums(self):
-        conf = np.array([[0.9, 0.1], [0.8, 0.7]], dtype=np.float32)
+        conf = np.array([[0.2, 0.9, 0.1], [0.3, 0.8, 0.7]], dtype=np.float32)
         cache = AccuracyCache.from_dense(conf >= 0.5, conf)
-        assert cache.column_sums(use_confidence=True) == pytest.approx(
-            conf.sum(axis=0)
-        )
+        result = sort_by_confidence_sum(cache)
+        assert np.array_equal(result.permutation.order, [1, 2, 0])
+        assert result.sums == pytest.approx(conf.sum(axis=0)[[1, 2, 0]])
 
     def test_confidence_sums_require_confidence(self):
         cache = AccuracyCache.from_dense(np.zeros((1, 1), dtype=bool))
         with pytest.raises(ValueError, match="confidence"):
-            cache.column_sums(use_confidence=True)
+            sort_by_confidence_sum(cache)
 
     def test_scratch_memory_is_one_array(self):
         import tracemalloc
@@ -183,6 +253,14 @@ class TestColumnSums:
         assert sums.size == n
         # accumulator plus one transient unpacked row, nothing bigger
         assert peak - before <= 8 * n + (1 << 20)
+
+    def test_row_sums_match_dense(self):
+        rng = np.random.default_rng(4)
+        for m, n in [(0, 0), (3, 0), (0, 9), (5, 13), (40, 3)]:
+            dense = rng.random((m, n)) < 0.5
+            sums = AccuracyCache.from_dense(dense).row_sums()
+            assert sums.dtype == np.int64
+            assert np.array_equal(sums, dense.sum(axis=1))
 
 
 class TestPersistence:

@@ -14,6 +14,7 @@ from lleval import (
     evaluate_from_truth,
     generate,
     load_cache,
+    save_cache,
     sort_by_sum,
     sort_models_by_sum,
 )
@@ -531,6 +532,26 @@ class TestGoldenArtifacts:
         "report_30.json": "39f7a29761724d3c1a366f7738fd7f8ef8ec32b137fe846fc1f4bf2467c7ba6c",
         "report_60.json": "ac970376a679f2cc34de1190d13bbd82f4d110a3b6430eb7fe33504da5d346ce",
     }
+    # recursive refinement reorders ties but keeps the plain sums
+    SUMS = "d40a58e6870391b44bf7581dc141638756e5ce0ae398654ffaa60ff105484a19"
+    SORT = {
+        "sum": {
+            "rank.llpm": "a512126288f92f2197bde3ca354d871ef3e7fe0d936899e5aaa246c73118faea",
+            "rank.llsm": SUMS,
+        },
+        "conf": {
+            "rank.llpm": "360fc53935b4ca9e3891547fc4bd78ca670e8eb3e482a88d264f6a58afd94176",
+            "rank.llsm": "451fd6a5fb723a9d54422495e55f0dcaedf2565473213c2049670b24a5517b6d",
+        },
+        "recursive": {
+            "rank.llpm": "696daa5609ab1f97e28dec15f24451064c5e2caa630b0929a1adfb3a3de9a613",
+            "rank.llsm": SUMS,
+        },
+    }
+    INSERT_SAMPLE = {
+        "grown.llbc": "b9feb9ff6526af3df53ce50ef36726057271a16ab550fbcb405e3abea352472b",
+        "rank.json": "b6265a9e3ad87e650b8689e41afa66335a64ff381da9f9c5ec7cc7034d0e106f",
+    }
 
     @pytest.mark.parametrize("strategy", ["uniform", "random"])
     def test_simulate(self, tmp_path, strategy):
@@ -556,3 +577,35 @@ class TestGoldenArtifacts:
         )
         assert rc == 0
         assert _digests(out_dir) == self.EVAL_MODEL
+
+    @pytest.fixture
+    def confidence_cache(self, tmp_path):
+        # 27 x 203: neither count is a multiple of 8, so padding bits matter
+        spec = SynthSpec(num_models=27, num_samples=203, temperature=0.3,
+                         noise=0.1, seed=4)
+        cache, _, _ = generate(spec, include_confidence=True)
+        path = tmp_path / "conf.llbc"
+        save_cache(cache, path)
+        return path
+
+    @pytest.mark.parametrize("method", ["sum", "conf", "recursive"])
+    def test_sort(self, tmp_path, confidence_cache, method):
+        out_dir = tmp_path / "sort"
+        out_dir.mkdir()
+        rc = main(["sort", "--cache", str(confidence_cache), "--method", method,
+                   "--depth", "3", "--out", str(out_dir / "rank.llpm")])
+        assert rc == 0
+        assert _digests(out_dir) == self.SORT[method]
+
+    def test_insert_sample(self, tmp_path, confidence_cache):
+        outcomes_path = tmp_path / "col.csv"
+        write_vector(outcomes_path, np.random.default_rng(7).random(27) < 0.4)
+        out_dir = tmp_path / "insert"
+        out_dir.mkdir()
+        rc = main(["insert-sample", "--cache", str(confidence_cache),
+                   "--outcomes", str(outcomes_path), "--budget", "9",
+                   "--strategy", "random", "--seed", "3",
+                   "--report", str(out_dir / "rank.json"),
+                   "--append-out", str(out_dir / "grown.llbc")])
+        assert rc == 0
+        assert _digests(out_dir) == self.INSERT_SAMPLE

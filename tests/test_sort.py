@@ -22,7 +22,8 @@ from lleval import (
     stable_append,
     threshold_all_rows,
 )
-from lleval.sort import _POPCOUNT_CHUNK_BYTES, _descending_stable_argsort
+from lleval.cache import _POPCOUNT_CHUNK_BYTES
+from lleval.sort import _descending_stable_argsort, _tied_runs
 
 
 def cache_with_column_sums(sums):
@@ -368,3 +369,26 @@ class TestDescendingStableArgsort:
         for vals in cases:
             want = np.lexsort((np.arange(vals.size), -vals.astype(np.float64)))
             assert np.array_equal(_descending_stable_argsort(vals), want)
+
+
+class TestTiedRuns:
+    @staticmethod
+    def brute(values):
+        runs, lo = [], 0
+        for i in range(1, len(values) + 1):
+            if i == len(values) or values[i] != values[lo]:
+                if i - lo >= 2:
+                    runs.append((lo, i - 1))
+                lo = i
+        return runs
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(52)
+        cases = [np.array([], dtype=np.int64), np.array([4]), np.full(9, 3)]
+        cases += [np.sort(rng.integers(0, 5, size=int(rng.integers(0, 30))))[::-1]
+                  for _ in range(100)]
+        cases += [rng.integers(0, 3, size=20) / 2.0 for _ in range(20)]
+        for values in cases:
+            got = _tied_runs(values)
+            assert got == self.brute(values)
+            assert all(type(x) is int for run in got for x in run)

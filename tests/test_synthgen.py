@@ -12,6 +12,7 @@ from lleval import (
     rank_correlation,
     sort_by_sum,
 )
+from lleval.synthgen import _sigmoid
 
 
 class TestSynthSpec:
@@ -120,3 +121,27 @@ class TestDifficultyRecovery:
             cache.column_sums().astype(float), -difficulties
         )
         assert rho_sums >= 0.99
+
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_identical_to_two_branch_form(self):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0,
+                            1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2])
+        rng = np.random.default_rng(60)
+        draws = np.concatenate([rng.normal(0, 10, 50_000), rng.normal(0, 300, 5_000)])
+        for x in (special, draws):
+            want = two_branch_sigmoid(x)
+            got = _sigmoid(x)
+            assert np.array_equal(got, want, equal_nan=True)
+            # same bits wherever a number comes out (a NaN's sign may differ)
+            number = ~np.isnan(want)
+            assert np.array_equal(got[number].view(np.uint64), want[number].view(np.uint64))
