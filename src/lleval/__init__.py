@@ -11,10 +11,16 @@ from .cache import (
     AccuracyCache,
     FormatError,
     Permutation,
+    SortMethod,
+    SortResult,
     ThresholdVector,
     import_csv,
     load_cache,
+    load_permutation,
+    load_sums,
     save_cache,
+    save_permutation,
+    save_sums,
 )
 from .metrics import (
     ErrorReport,
@@ -40,14 +46,8 @@ from .search import (
     uniform_positions,
 )
 from .sort import (
-    SortMethod,
-    SortResult,
-    load_permutation,
-    load_sums,
     objective,
     recursive_sort_by_sum,
-    save_permutation,
-    save_sums,
     sort_by_confidence_sum,
     sort_by_sum,
     sort_models_by_sum,

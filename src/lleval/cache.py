@@ -1,10 +1,12 @@
-"""Bit-packed outcome cache and its on-disk formats.
+"""Bit-packed outcome cache, the artifact types, and every on-disk format.
 
 The cache records, for m models and n samples, whether model i got sample j
 right.  Rows are packed 8 columns per byte (column j sits at bit j % 8 of
 byte j // 8, least-significant bit first); padding bits past column n are
 always zero.  An optional float32 matrix carries per-cell confidences.
-This module is the only one that reads or writes the packed bits.
+This module is the only one that reads or writes the packed bits, and the
+only one that knows a file format: the LLBC cache, the LLPM permutation,
+the LLSM totals and the JSON and CSV text artifacts.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import json
 import os
 import struct
 import threading
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +29,11 @@ _CACHE_MAGIC = b"LLBC"
 _CACHE_VERSION = 1
 _FLAG_CONFIDENCE = 1 << 0
 _HEADER = struct.Struct("<4sIQQQ")  # magic, version, m, n, flags
+
+_PERM_MAGIC = b"LLPM"
+_SUMS_MAGIC = b"LLSM"
+_IO_VERSION = 1
+_IO_HEADER = struct.Struct("<4sIQ")  # magic, version, length
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -224,6 +233,8 @@ class AccuracyCache:
             raise ValueError(
                 f"column length {col.shape} does not match {self.num_models} models"
             )
+        if col.dtype != bool and not ((col == 0) | (col == 1)).all():
+            raise ValueError("column entries must be 0 or 1")
         m, n = self.num_models, self.num_samples
         bits = np.zeros((m, _row_bytes(n + 1)), dtype=np.uint8)
         bits[:, : _row_bytes(n)] = self.bits
@@ -295,6 +306,33 @@ class ThresholdVector:
         return vec
 
 
+class SortMethod(str, Enum):
+    SUM = "sum"
+    CONFIDENCE_SUM = "conf"
+    RECURSIVE_SUM = "recursive"
+
+
+@dataclass(frozen=True, eq=False)
+class SortResult:
+    """A column permutation plus the per-column totals in rank order."""
+
+    permutation: Permutation
+    sums: np.ndarray
+    method: SortMethod
+
+    def __post_init__(self) -> None:
+        sums = np.ascontiguousarray(np.asarray(self.sums))
+        if sums.shape != (len(self.permutation),):
+            raise ValueError("sums length does not match permutation")
+        sums.flags.writeable = False
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "method", SortMethod(self.method))
+
+    @property
+    def num_samples(self) -> int:
+        return len(self.permutation)
+
+
 # -- persistence -----------------------------------------------------------
 
 
@@ -313,12 +351,23 @@ def _replacing_writer(path: str | Path):
         raise
 
 
+def _write_blocks(path: str | Path, header: bytes, *blocks: np.ndarray) -> None:
+    """``header`` (all of a text artifact), then each array's raw bytes."""
+    with _replacing_writer(path) as fh:
+        fh.write(header)
+        for block in blocks:
+            fh.write(block.tobytes())
+
+
 def _write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """CSV rows (CR LF line ends) written in one piece by ``_replacing_writer``."""
+    """CSV rows (CR LF line ends), written in one piece."""
     text = io.StringIO()
     csv.writer(text).writerows(rows)
-    with _replacing_writer(path) as fh:
-        fh.write(text.getvalue().encode())
+    _write_blocks(path, text.getvalue().encode())
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    _write_blocks(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _unpack_header(
@@ -348,11 +397,9 @@ def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     """Write the cache in the LLBC binary format (little-endian)."""
     m, n = cache.num_models, cache.num_samples
     flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
-    with _replacing_writer(path) as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, n, flags))
-        fh.write(cache.bits.tobytes())
-        if cache.confidence is not None:
-            fh.write(cache.confidence.astype("<f4").tobytes())
+    header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, n, flags)
+    conf = [] if cache.confidence is None else [cache.confidence.astype("<f4")]
+    _write_blocks(path, header, cache.bits, *conf)
 
 
 def _map_block(path: str | Path, dtype: str, shape: tuple, offset: int) -> np.ndarray:
@@ -383,6 +430,34 @@ def load_cache(path: str | Path) -> AccuracyCache:
     if flags & _FLAG_CONFIDENCE:
         confidence = _map_block(path, "<f4", (m, n), _HEADER.size + bits_len)
     return AccuracyCache(m, n, bits, confidence)
+
+
+def save_permutation(perm: Permutation, path: str | Path) -> None:
+    header = _IO_HEADER.pack(_PERM_MAGIC, _IO_VERSION, len(perm))
+    _write_blocks(path, header, perm.order.astype("<u8"))
+
+
+def load_permutation(path: str | Path) -> Permutation:
+    payload = _read_array_file(path, _PERM_MAGIC, "<u8")
+    return Permutation(payload.astype(np.int64))
+
+
+def save_sums(sums: np.ndarray, path: str | Path) -> None:
+    sums = np.asarray(sums)
+    header = _IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size)
+    _write_blocks(path, header, sums.astype("<f8"))
+
+
+def load_sums(path: str | Path) -> np.ndarray:
+    return _read_array_file(path, _SUMS_MAGIC, "<f8").copy()
+
+
+def _read_array_file(path: str | Path, magic: bytes, dtype: str) -> np.ndarray:
+    data = Path(path).read_bytes()
+    (length,) = _unpack_header(data, magic, _IO_HEADER, _IO_VERSION)
+    expected = _IO_HEADER.size + length * np.dtype(dtype).itemsize
+    _check_size(len(data), expected, "payload")
+    return np.frombuffer(data, dtype=dtype, count=length, offset=_IO_HEADER.size)
 
 
 def import_csv(path: str | Path, has_confidence: bool = False) -> AccuracyCache:

@@ -15,17 +15,24 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .baseline import copy_nearest_expand_from_truth
 from .cache import (
     AccuracyCache,
-    _replacing_writer,
+    SortMethod,
+    SortResult,
+    _write_json,
     _write_rows,
     import_csv,
     load_cache,
+    load_permutation,
+    load_sums,
     save_cache,
+    save_permutation,
+    save_sums,
 )
 from .metrics import (
     ErrorReport,
@@ -42,13 +49,7 @@ from .search import (
     prediction_to_dict,
 )
 from .sort import (
-    SortMethod,
-    SortResult,
-    load_permutation,
-    load_sums,
     recursive_sort_by_sum,
-    save_permutation,
-    save_sums,
     sort_by_confidence_sum,
     sort_by_sum,
     sort_models_by_sum,
@@ -84,11 +85,6 @@ def _parse_budgets(text: str | None, total: int) -> list[int]:
         if not 1 <= b <= total:
             raise ValueError(f"budget {b} outside [1, {total}]")
     return budgets
-
-
-def _write_json(path: str | Path, payload: dict) -> None:
-    with _replacing_writer(path) as fh:
-        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _command_oracle(command: str):
@@ -156,31 +152,26 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
             raise ValueError("cache and permutation disagree on sample count")
     budgets = _parse_budgets(args.budgets, total)
     strategy = SamplingStrategy(args.strategy)
-    truth = _read_binary_vector(args.truth) if args.truth else None
-    if truth is not None and truth.size != total:
-        raise ValueError(
-            f"truth length {truth.size} does not match {total} samples"
-        )
-    oracle = _command_oracle(args.oracle_cmd) if args.oracle_cmd else None
+    if args.truth is not None:
+        truth = _read_binary_vector(args.truth)
+        if truth.size != total:
+            raise ValueError(f"truth length {truth.size} does not match {total} samples")
+        scorer = RankedTruth(truth, sort_result.permutation)  # one for every budget
+    else:
+        oracle = _command_oracle(args.oracle_cmd)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
     for budget in budgets:
         seed = _derived_seed(args.seed, budget)
-        if truth is not None:
+        if args.truth is not None:
             pred, sel = evaluate_from_truth(sort_result, truth, budget, strategy, seed)
+            reports.append(scorer.report(pred.k, budget))
+            _write_json(out_dir / f"report_{budget}.json", reports[-1].to_dict())
         else:
             pred, sel = evaluate_new_model(sort_result, oracle, budget, strategy, seed)
-        _write_json(
-            out_dir / f"prediction_{budget}.json", prediction_to_dict(pred, sel)
-        )
-        if truth is not None:
-            report = error_decomposition(
-                truth, pred, sort_result.permutation, budget=budget
-            )
-            reports.append(report)
-            _write_json(out_dir / f"report_{budget}.json", report.to_dict())
+        _write_json(out_dir / f"prediction_{budget}.json", prediction_to_dict(pred, sel))
     if reports:
         write_error_curve(out_dir / "curve.csv", reports)
     print(f"evaluated {len(budgets)} budgets into {out_dir}")
@@ -359,8 +350,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lleval",
         description="Difficulty-ranked, budget-limited model evaluation",
     )
@@ -382,8 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-model", help="predict a new model from few samples")
     p.add_argument("--perm", required=True)
     p.add_argument("--cache")
-    p.add_argument("--truth", help="full 0/1 outcome row for scoring")
-    p.add_argument("--oracle-cmd", help="command answering 0/1 per sample index")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--truth", help="full 0/1 outcome row for scoring")
+    source.add_argument("--oracle-cmd", help="command answering 0/1 per sample index")
     p.add_argument("--budgets")
     p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
@@ -392,8 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("insert-sample", help="rank a new sample from few models")
     p.add_argument("--cache", required=True)
-    p.add_argument("--outcomes", help="full 0/1 outcome column for scoring")
-    p.add_argument("--oracle-cmd", help="command answering 0/1 per model index")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--outcomes", help="full 0/1 outcome column for scoring")
+    source.add_argument("--oracle-cmd", help="command answering 0/1 per model index")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
@@ -429,13 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "eval-model" and not (args.truth or args.oracle_cmd):
-        print("error: eval-model needs --truth or --oracle-cmd", file=sys.stderr)
-        return 2
-    if args.command == "insert-sample" and not (args.outcomes or args.oracle_cmd):
-        print("error: insert-sample needs --outcomes or --oracle-cmd", file=sys.stderr)
-        return 2
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit

@@ -13,6 +13,8 @@ from .search import dp_search
 
 CURVE_FIELDS = ("budget", "mae", "agg_error", "aleatoric", "epistemic")
 
+_DECAY_B_MAX = 1.0  # upper end of fit_exp_decay's search over the rate b
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -204,10 +206,8 @@ def _decay_lstsq(x: np.ndarray, e: np.ndarray, b: float) -> tuple[float, np.ndar
     return float(resid @ resid), coef
 
 
-def fit_exp_decay(
-    budgets: np.ndarray, errors: np.ndarray, b_max: float = 1.0
-) -> ExpDecayFit:
-    """Least-squares a*exp(-b*x) + c via golden-section search over b >= 0.
+def fit_exp_decay(budgets: np.ndarray, errors: np.ndarray) -> ExpDecayFit:
+    """Least-squares a*exp(-b*x) + c, golden-section searching b in [0, _DECAY_B_MAX].
 
     Each candidate b gets a closed-form linear solve for (a, c); constant
     inputs short-circuit to a flat fit with r2 defined as 1.
@@ -224,7 +224,7 @@ def fit_exp_decay(
         return ExpDecayFit(0.0, 0.0, float(e[0]), 1.0)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, float(b_max)
+    lo, hi = 0.0, _DECAY_B_MAX
     b1 = hi - invphi * (hi - lo)
     b2 = lo + invphi * (hi - lo)
     f1, _ = _decay_lstsq(x, e, b1)

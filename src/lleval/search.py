@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .cache import ThresholdVector
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sort import SortResult
+from .cache import SortResult, ThresholdVector
 
 Oracle = Callable[[int], bool]
 
@@ -131,7 +128,7 @@ def _batch_oracle(oracle: Oracle) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _evaluate(
-    sort: "SortResult",
+    sort: SortResult,
     observe: Callable[[np.ndarray], np.ndarray],
     budget: int,
     strategy: SamplingStrategy,
@@ -153,7 +150,7 @@ def _evaluate(
 
 
 def evaluate_new_model(
-    sort: "SortResult",
+    sort: SortResult,
     oracle: Oracle,
     budget: int,
     strategy: SamplingStrategy = SamplingStrategy.UNIFORM,
@@ -171,7 +168,7 @@ def evaluate_new_model(
 
 
 def evaluate_from_truth(
-    sort: "SortResult",
+    sort: SortResult,
     truth: np.ndarray,
     budget: int,
     strategy: SamplingStrategy = SamplingStrategy.UNIFORM,

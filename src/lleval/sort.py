@@ -9,49 +9,11 @@ can tell the tied columns apart.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
-
 import numpy as np
 
-from .cache import AccuracyCache, Permutation, ThresholdVector
-from .cache import _check_size, _replacing_writer, _unpack_header
+from .cache import AccuracyCache, Permutation, SortMethod, SortResult, ThresholdVector
 from .metrics import RankedTruth
 from .search import dp_search
-
-_PERM_MAGIC = b"LLPM"
-_SUMS_MAGIC = b"LLSM"
-_IO_VERSION = 1
-_IO_HEADER = struct.Struct("<4sIQ")  # magic, version, length
-
-
-class SortMethod(str, Enum):
-    SUM = "sum"
-    CONFIDENCE_SUM = "conf"
-    RECURSIVE_SUM = "recursive"
-
-
-@dataclass(frozen=True, eq=False)
-class SortResult:
-    """A column permutation plus the per-column totals in rank order."""
-
-    permutation: Permutation
-    sums: np.ndarray
-    method: SortMethod
-
-    def __post_init__(self) -> None:
-        sums = np.ascontiguousarray(np.asarray(self.sums))
-        if sums.shape != (len(self.permutation),):
-            raise ValueError("sums length does not match permutation")
-        sums.flags.writeable = False
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "method", SortMethod(self.method))
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.permutation)
 
 
 def _descending_stable_argsort(sums: np.ndarray) -> np.ndarray:
@@ -184,35 +146,3 @@ def stable_append(sort: SortResult, predicted: ThresholdVector) -> SortResult:
     sums[: predicted.k] += 1
     return SortResult(sort.permutation, sums, sort.method)
 
-
-# -- persistence -------------------------------------------------------------
-
-
-def save_permutation(perm: Permutation, path: str | Path) -> None:
-    with _replacing_writer(path) as fh:
-        fh.write(_IO_HEADER.pack(_PERM_MAGIC, _IO_VERSION, len(perm)))
-        fh.write(perm.order.astype("<u8").tobytes())
-
-
-def load_permutation(path: str | Path) -> Permutation:
-    payload = _read_array_file(path, _PERM_MAGIC, "<u8")
-    return Permutation(payload.astype(np.int64))
-
-
-def save_sums(sums: np.ndarray, path: str | Path) -> None:
-    sums = np.asarray(sums)
-    with _replacing_writer(path) as fh:
-        fh.write(_IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size))
-        fh.write(sums.astype("<f8").tobytes())
-
-
-def load_sums(path: str | Path) -> np.ndarray:
-    return _read_array_file(path, _SUMS_MAGIC, "<f8").copy()
-
-
-def _read_array_file(path: str | Path, magic: bytes, dtype: str) -> np.ndarray:
-    data = Path(path).read_bytes()
-    (length,) = _unpack_header(data, magic, _IO_HEADER, _IO_VERSION)
-    expected = _IO_HEADER.size + length * np.dtype(dtype).itemsize
-    _check_size(len(data), expected, "payload")
-    return np.frombuffer(data, dtype=dtype, count=length, offset=_IO_HEADER.size)

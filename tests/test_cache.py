@@ -149,6 +149,14 @@ class TestAppend:
         with pytest.raises(ValueError, match="length"):
             cache.append_column(np.zeros(3, dtype=bool))
 
+    def test_append_column_entries_checked(self):
+        cache = AccuracyCache.from_dense(np.array([[1, 0], [0, 1]], dtype=bool))
+        for bad in ([2, 0], [-1, 1]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                cache.append_column(np.array(bad))
+        for good in (np.array([1, 0]), np.array([True, False])):
+            assert np.array_equal(cache.append_column(good).column(2), [True, False])
+
     def test_append_then_save_load_identical(self, tmp_path):
         rng = np.random.default_rng(11)
         cache = random_cache(rng, 4, 19)
@@ -188,16 +196,28 @@ class TestBitsAt:
                 cache.column(bad)
 
 
+def _mentioning(pattern: str) -> list[str]:
+    """Modules of the package other than cache.py whose source matches."""
+    package = Path(lleval.__file__).parent
+    return [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "cache.py" and re.search(pattern, path.read_text())
+    ]
+
+
 class TestPackedLayout:
     def test_only_cache_touches_packed_bits(self):
-        pattern = re.compile(r"\.bits\b|packbits|unpackbits|bitwise_count")
-        package = Path(lleval.__file__).parent
-        offenders = [
-            path.name
-            for path in sorted(package.glob("*.py"))
-            if path.name != "cache.py" and pattern.search(path.read_text())
-        ]
-        assert offenders == []
+        assert _mentioning(r"\.bits\b|packbits|unpackbits|bitwise_count") == []
+
+
+class TestFileFormats:
+    def test_only_cache_knows_file_formats(self):
+        pattern = (
+            r"import struct|_replacing_writer|tobytes|frombuffer|memmap"
+            r'|b"LL|TYPE_CHECKING'
+        )
+        assert _mentioning(pattern) == []
 
 
 class TestColumnSums:

@@ -229,6 +229,46 @@ class TestEvalModel:
         assert "truth" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval-model", "--perm", "{perm}", "--truth", "{row}", "--out", "{out}"],
+            ["insert-sample", "--cache", "{cache}", "--outcomes", "{col}",
+             "--budget", "4"],
+        ],
+        ids=["eval-model", "insert-sample"],
+    )
+    def test_truth_with_oracle_rejected(self, small_setup, capsys, args):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        paths = {"perm": perm_path, "cache": cache_path, "out": tmp_path / "out"}
+        for name, length in (("row", dense.shape[1]), ("col", dense.shape[0])):
+            paths[name] = tmp_path / f"{name}.csv"
+            write_vector(paths[name], np.ones(length, dtype=bool))
+        asked = tmp_path / "asked"
+        touch = f"import pathlib; pathlib.Path('{asked}').touch(); print(1)"
+        oracle = f'{sys.executable} -c "{touch}"'
+        argv = [a.format(**paths) for a in args] + ["--oracle-cmd", oracle]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not allowed" in err
+        assert not asked.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["rank"], ["sort", "--cache", "c.llbc"], ["sort", "--depth", "x"]],
+    )
+    def test_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["sort", "--help"]) == 0
+        assert "--method" in capsys.readouterr().out
+
+
 class TestInsertSample:
     def test_rank_estimate_and_append(self, small_setup):
         tmp_path, dense, cache_path, perm_path = small_setup
