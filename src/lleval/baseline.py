@@ -42,7 +42,7 @@ def copy_nearest_expand_from_truth(
 ) -> np.ndarray:
     """``copy_nearest_expand`` for a fully known outcome row."""
     positions = _draw_positions(cache, budget, seed)
-    truth = np.asarray(truth).astype(bool)
+    truth = np.asarray(truth).astype(bool, copy=False)
     if truth.shape != (cache.num_samples,):
         raise ValueError("truth length does not match cache columns")
     return _nearest_fill(cache, positions, truth[positions])

@@ -54,6 +54,46 @@ def _pad_mask(num_samples: int) -> int:
     return (0xFF << (num_samples % 8)) & 0xFF if num_samples % 8 else 0
 
 
+def _byte_tables() -> tuple[np.ndarray, np.ndarray]:
+    # each bit of a byte is a +1 (one) or -1 (zero) step of a running score;
+    # per byte value: how far the score falls from its peak to the byte's
+    # end, and the first bit at which the peak is reached
+    steps = np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+    ).astype(np.int8) * 2 - 1
+    running = np.cumsum(steps, axis=1, dtype=np.int8)
+    fall = running.max(axis=1) - running[:, -1]
+    return fall.astype(np.uint8), running.argmax(axis=1).astype(np.uint8)
+
+
+_BYTE_FALL, _BYTE_PEAK_BIT = _byte_tables()
+
+
+def best_prefix(outcomes: np.ndarray) -> int:
+    """Length of the prefix maximizing (ones - zeros); 0 unless that is positive.
+
+    Scans n/8 packed bytes instead of n outcomes: the score after each byte
+    is a cumsum of its net (2 * popcount - 8), and the best score inside a
+    byte is that plus the byte's ``_BYTE_FALL``.  ``argmax`` keeps the first
+    best byte and ``_BYTE_PEAK_BIT`` the first peak inside it, so ties go to
+    the shortest prefix.  Padding bits are -1 steps and never hold a peak.
+    """
+    packed = np.packbits(outcomes, bitorder="little")
+    if packed.size == 0:
+        return 0
+    fall = _BYTE_FALL.take(packed)
+    dtype = np.int32 if 8 * packed.size <= _INT32_MAX else np.int64
+    score = np.bitwise_count(packed).astype(dtype)
+    score *= 2
+    score -= 8
+    np.cumsum(score, out=score)
+    score += fall
+    j = int(np.argmax(score))
+    if score[j] <= 0:
+        return 0
+    return 8 * j + int(_BYTE_PEAK_BIT[packed[j]]) + 1
+
+
 @dataclass(frozen=True, eq=False)
 class AccuracyCache:
     """Immutable m*n boolean outcome matrix, packed row-major."""

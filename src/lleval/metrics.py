@@ -49,7 +49,7 @@ class ErrorReport:
 
 
 def _check_lengths(truth: np.ndarray, pred: ThresholdVector) -> np.ndarray:
-    truth = np.asarray(truth).astype(bool)
+    truth = np.asarray(truth).astype(bool, copy=False)
     if truth.ndim != 1:
         raise ValueError("truth must be 1-dimensional")
     if truth.size != pred.length:

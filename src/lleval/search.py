@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import SortResult, ThresholdVector
+from .cache import SortResult, ThresholdVector, best_prefix
 
 Oracle = Callable[[int], bool]
 
@@ -74,20 +74,14 @@ def random_positions(total: int, budget: int, seed: int) -> np.ndarray:
 def dp_search(observations: np.ndarray) -> ThresholdVector:
     """Threshold minimizing disagreement with a [1...1 0...0] step vector.
 
-    Scans the running score sum(2*b - 1) once; its argmax over prefixes
-    (including the empty prefix) is the optimal cut.  Ties resolve to the
-    smallest cut.  O(L) time.
+    The optimal cut is the prefix (possibly empty) with the highest running
+    score sum(2*b - 1); ties resolve to the smallest cut.  ``best_prefix``
+    packs the observations and finds it in one scan over L/8 bytes.
     """
-    bits = np.asarray(observations).astype(bool)
+    bits = np.asarray(observations).astype(bool, copy=False)
     if bits.ndim != 1:
         raise ValueError("observations must be 1-dimensional")
-    length = bits.size
-    if length == 0:
-        return ThresholdVector(0, 0)
-    score = np.cumsum(2 * bits.astype(np.int64) - 1)
-    best = int(score.max())
-    k = int(np.argmax(score)) + 1 if best > 0 else 0
-    return ThresholdVector(length, k)
+    return ThresholdVector(bits.size, best_prefix(bits))
 
 
 def extrapolate(selection: SampleSelection, total: int) -> ThresholdVector:
@@ -179,7 +173,7 @@ def evaluate_from_truth(
     ``truth`` is indexed in original coordinates; results are identical to
     wrapping it in a per-index oracle.
     """
-    truth = np.asarray(truth).astype(bool)
+    truth = np.asarray(truth).astype(bool, copy=False)
     if truth.shape != (sort.num_samples,):
         raise ValueError("truth length does not match permutation")
     return _evaluate(sort, truth.__getitem__, budget, strategy, seed)

@@ -1,5 +1,7 @@
 """Position selection, DP threshold optimality, extrapolation, evaluation flows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from lleval import (
     sort_models_by_sum,
     uniform_positions,
 )
+from lleval.cache import _BYTE_FALL, _BYTE_PEAK_BIT
 
 
 class TestUniformPositions:
@@ -66,6 +69,15 @@ class TestRandomPositions:
             random_positions(5, 6, seed=0)
 
 
+def cumsum_dp_search(bits):
+    """The unpacked scan: argmax of the int64 running score sum(2*b - 1)."""
+    bits = np.asarray(bits).astype(bool)
+    if bits.size == 0:
+        return 0
+    score = np.cumsum(2 * bits.astype(np.int64) - 1)
+    return int(np.argmax(score)) + 1 if int(score.max()) > 0 else 0
+
+
 class TestDpSearch:
     def test_all_ones(self):
         tv = dp_search(np.array([1, 1, 1, 1], dtype=bool))
@@ -103,6 +115,73 @@ class TestDpSearch:
                     k for k in range(tv.k) if threshold_error(bits, k) == best
                 ]
                 assert not smaller
+
+    def test_matches_cumsum_reference_on_every_length(self):
+        rng = np.random.default_rng(63)
+        for length in range(201):  # every length % 8, padding included
+            for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+                for _ in range(3):
+                    bits = rng.random(length) < density
+                    assert dp_search(bits).k == cumsum_dp_search(bits), (length, density)
+
+    def test_matches_cumsum_reference_on_byte_patterns(self):
+        ones, zeros = [1] * 8, [0] * 8
+        patterns = [
+            zeros * 3,
+            ones * 3,
+            ones + zeros + ones + ones,
+            zeros + ones * 2 + zeros,
+            [0] * 5 + [1] * 6 + [0] * 9,  # a run crossing a byte boundary
+            [1] * 13 + [0] * 2 + [1] * 4,
+            [1, 0] * 12,  # ties inside every byte
+            [1, 1, 0, 1, 0, 0, 1, 0],  # tie inside one byte
+            ones + [0] * 16 + ones + [0],  # tie between bytes 0 and 3
+            [1, 1, 0, 0, 0] + [1] * 3 + [0] * 3,  # tie across a byte boundary
+            [0] * 7 + [1],
+            [1] + [0] * 7 + [1] * 2,
+        ]
+        for pattern in patterns:
+            for shift in range(9):  # move every edge across the byte grid
+                bits = np.array([0] * shift + pattern, dtype=bool)
+                assert dp_search(bits).k == cumsum_dp_search(bits), (shift, pattern)
+
+    def test_integer_inputs_match_bool(self):
+        rng = np.random.default_rng(64)
+        for length in (0, 1, 7, 8, 9, 63, 100):
+            bits = rng.random(length) < 0.6
+            want = dp_search(bits).k
+            for dtype in (np.int64, np.int32, np.uint8):
+                assert dp_search(bits.astype(dtype)).k == want
+            assert dp_search(bits.astype(int).tolist()).k == want
+
+    def test_byte_tables_match_an_eight_step_scan(self):
+        for value in range(256):
+            score, peak, peak_bit = 0, None, None
+            for bit in range(8):  # least-significant bit first, as packed
+                score += 1 if (value >> bit) & 1 else -1
+                if peak is None or score > peak:
+                    peak, peak_bit = score, bit
+            assert int(_BYTE_FALL[value]) == peak - score, value
+            assert int(_BYTE_PEAK_BIT[value]) == peak_bit, value
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-dimensional"):
+            dp_search(np.ones((2, 4), dtype=bool))
+        with pytest.raises(ValueError, match="1-dimensional"):
+            dp_search(np.bool_(True))
+
+    def test_scan_memory_under_two_bytes_per_sample(self):
+        n = 1 << 21
+        rng = np.random.default_rng(65)
+        bits = np.sort(rng.random(n) < 0.5)[::-1] ^ (rng.random(n) < 0.1)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tv = dp_search(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert tv.k == cumsum_dp_search(bits)
+        assert peak - before < 2 * n
 
     def test_complement_reverse_symmetry(self):
         rng = np.random.default_rng(61)
