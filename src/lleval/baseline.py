@@ -11,9 +11,7 @@ from .search import Oracle, _batch_oracle, random_positions
 def _nearest_fill(
     cache: AccuracyCache, positions: np.ndarray, outcomes: np.ndarray
 ) -> np.ndarray:
-    distances = (cache.bits_at(positions) != outcomes).sum(axis=1)
-    nearest = int(np.argmin(distances))  # ties: lowest row index
-    prediction = cache.row(nearest)
+    prediction = cache.row(cache.nearest_row(positions, outcomes))
     prediction[positions] = outcomes
     return prediction
 

@@ -18,7 +18,7 @@ import json
 import os
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,6 +102,10 @@ class AccuracyCache:
     num_samples: int
     bits: np.ndarray
     confidence: np.ndarray | None = None
+    # bits.T, contiguous, from the first ``nearest_row`` call: a plain lazy field,
+    # as the pre-3.12 lock of ``functools.cached_property`` would serialise
+    # ``simulate``'s threads; threads racing on it build equal arrays
+    _byte_columns: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         m, n = self.num_models, self.num_samples
@@ -191,11 +195,15 @@ class AccuracyCache:
             self.bits[i], count=self.num_samples, bitorder="little"
         ).view(np.bool_)
 
-    def bits_at(self, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Boolean (models, len(cols)) block of every model, or of ``rows``."""
+    def _checked_columns(self, cols: np.ndarray) -> np.ndarray:
         cols = np.atleast_1d(cols)  # a 0-d index would slice a read-only view
         if cols.size and (cols.min() < 0 or cols.max() >= self.num_samples):
             raise IndexError(f"column index out of range [0, {self.num_samples})")
+        return cols
+
+    def bits_at(self, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Boolean (models, len(cols)) block of every model, or of ``rows``."""
+        cols = self._checked_columns(cols)
         if rows is None:  # a plain slice; np.ix_ over every row is ~7x slower
             block = self.bits[:, cols // 8]
         else:
@@ -204,6 +212,32 @@ class AccuracyCache:
         block >>= (cols % 8).astype(np.uint8)
         block &= 1
         return block.view(np.bool_)
+
+    def nearest_row(self, cols: np.ndarray, values: np.ndarray) -> int:
+        """Model disagreeing least with ``values`` at the distinct ``cols``.
+
+        Ties go to the lowest index.  Only the packed bytes holding a wanted
+        column are read, as m-byte rows of the byte columns: a one-time
+        m * n / 8 byte transposed copy of the bits.
+        """
+        cols = self._checked_columns(cols)
+        held = np.zeros(self.num_samples, dtype=bool)
+        wanted = np.zeros(self.num_samples, dtype=bool)
+        held[cols] = True
+        wanted[cols] = values
+        mask = np.packbits(held, bitorder="little")
+        at = np.flatnonzero(mask)
+        columns = self._byte_columns
+        if columns is None:
+            columns = np.ascontiguousarray(self.bits.T)
+            object.__setattr__(self, "_byte_columns", columns)
+        diff = columns.take(at, axis=0)
+        diff ^= np.packbits(wanted, bitorder="little")[at, None]
+        diff &= mask[at, None]
+        # an int32 sum is about twice as fast as numpy's default uint64 one
+        dtype = np.int32 if 8 * at.size <= _INT32_MAX else np.int64
+        counts = np.bitwise_count(diff, out=diff).sum(axis=0, dtype=dtype)
+        return int(np.argmin(counts))
 
     def column(self, j: int) -> np.ndarray:
         """Boolean outcomes of every model on sample j."""
@@ -395,8 +429,8 @@ def _write_blocks(path: str | Path, header: bytes, *blocks: np.ndarray) -> None:
     """``header`` (all of a text artifact), then each array's raw bytes."""
     with _replacing_writer(path) as fh:
         fh.write(header)
-        for block in blocks:
-            fh.write(block.tobytes())
+        for block in blocks:  # the array's own buffer: no bytes copy
+            fh.write(np.ascontiguousarray(block).data)
 
 
 def _write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
@@ -438,7 +472,7 @@ def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     m, n = cache.num_models, cache.num_samples
     flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
     header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, n, flags)
-    conf = [] if cache.confidence is None else [cache.confidence.astype("<f4")]
+    conf = [] if cache.confidence is None else [cache.confidence.astype("<f4", copy=False)]
     _write_blocks(path, header, cache.bits, *conf)
 
 
@@ -485,7 +519,7 @@ def load_permutation(path: str | Path) -> Permutation:
 def save_sums(sums: np.ndarray, path: str | Path) -> None:
     sums = np.asarray(sums)
     header = _IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size)
-    _write_blocks(path, header, sums.astype("<f8"))
+    _write_blocks(path, header, sums.astype("<f8", copy=False))
 
 
 def load_sums(path: str | Path) -> np.ndarray:

@@ -239,9 +239,20 @@ def _simulate_model(
     return reports, baseline_maes
 
 
+def _thread_count() -> int:
+    """``LLEVAL_THREADS``: a positive count, or unset or 0 for every core."""
+    raw = os.environ.get("LLEVAL_THREADS", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(
+            f"LLEVAL_THREADS must be a positive integer, or 0 for all cores; got {raw!r}"
+        )
+    return int(raw) or (os.cpu_count() or 1)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .synthgen import SynthSpec, generate
 
+    threads = _thread_count()
     if args.holdout < 1:
         raise ValueError("--holdout must be at least 1")
     if args.spec_json:
@@ -280,8 +291,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             sort_result, sort_cache, truth, budgets, strategy, args.seed, h, run_baseline
         )
 
-    threads = int(os.environ.get("LLEVAL_THREADS", "0")) or (os.cpu_count() or 1)
-    threads = max(1, min(threads, args.holdout))
+    threads = min(threads, args.holdout)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         per_model = list(pool.map(work, range(args.holdout)))
 

@@ -68,3 +68,24 @@ class TestCopyNearestExpand:
             slow = copy_nearest_expand(cache, lambda j: bool(truth[j]), budget, seed)
             fast = copy_nearest_expand_from_truth(cache, truth, budget, seed)
             assert np.array_equal(slow, fast)
+
+    def test_predictions_pinned(self):
+        # recorded from the Hamming count over ``bits_at`` before the
+        # packed-byte ``nearest_row``; packed little-endian bit order
+        rng = np.random.default_rng(2026)
+        cache = random_cache(rng, 9, 83)
+        truth = rng.random(83) < 0.5
+        expected = {
+            1: "9d02af77a4b678e6acd005",
+            5: "9d02af77a4b678e6acd005",
+            17: "0b8154948b2f889c5f8c06",
+            40: "9d002b0520b678c69cea05",
+            83: "d101280c207a1a879caa04",
+        }
+        for budget, packed in expected.items():
+            got = copy_nearest_expand_from_truth(cache, truth, budget, seed=11)
+            bits = np.unpackbits(
+                np.frombuffer(bytes.fromhex(packed), dtype=np.uint8),
+                count=83, bitorder="little",
+            ).astype(bool)
+            assert np.array_equal(got, bits)

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from lleval import (
     write_error_curve,
 )
 import lleval
-from lleval.cache import _write_rows
+from lleval.cache import _write_blocks, _write_rows
 from lleval.cli import _write_json
 
 
@@ -194,6 +195,131 @@ class TestBitsAt:
                 cache.bits_at(np.array([0, bad]))
             with pytest.raises(IndexError, match="out of range"):
                 cache.column(bad)
+
+
+def _bits_at_nearest(cache, cols, values):
+    """The nearest-row count the baseline made before ``nearest_row``."""
+    return int(np.argmin((cache.bits_at(cols) != values).sum(axis=1)))
+
+
+class TestNearestRow:
+    def check(self, dense, cols, values, cache=None):
+        cache = AccuracyCache.from_dense(dense) if cache is None else cache
+        brute = int(np.argmin((dense[:, cols] != values).sum(axis=1)))
+        got = cache.nearest_row(cols, values)
+        assert got == brute == _bits_at_nearest(cache, cols, values)
+        return got
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(90)
+        for m, n in [(1, 1), (6, 7), (9, 21), (4, 64), (12, 203), (40, 9)]:
+            for _ in range(20):
+                dense = rng.random((m, n)) < rng.random()
+                cols = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+                self.check(dense, cols, rng.random(cols.size) < 0.5)
+
+    def test_columns_in_padding_byte(self):
+        rng = np.random.default_rng(91)
+        dense = rng.random((7, 21)) < 0.5  # n % 8 == 5: columns 16..20 share a byte
+        for cols in ([16, 20], [20], [3, 17, 19, 18], [16, 17, 18, 19, 20]):
+            cols = np.array(cols)
+            for i in range(7):
+                assert self.check(dense, cols, dense[i, cols]) <= i
+
+    def test_columns_sharing_a_byte(self):
+        dense = np.array(
+            [[0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1],
+             [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1],
+             [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]],
+            dtype=bool,
+        )
+        cols = np.array([9, 13, 8, 15])  # all in byte 1, unsorted
+        assert self.check(dense, cols, np.array([0, 1, 1, 1], dtype=bool)) == 1
+        assert self.check(dense, cols, np.array([1, 1, 1, 0], dtype=bool)) == 2
+
+    def test_any_order_and_every_column(self):
+        rng = np.random.default_rng(92)
+        dense = rng.random((15, 37)) < 0.5
+        truth = rng.random(37) < 0.5
+        cols = rng.permutation(37)
+        want = self.check(dense, cols, truth[cols])
+        assert self.check(dense, np.arange(37), truth) == want
+        assert self.check(dense, cols[::-1], truth[cols[::-1]]) == want
+
+    def test_single_model_and_ties(self):
+        rng = np.random.default_rng(93)
+        one = rng.random((1, 19)) < 0.5
+        assert self.check(one, np.array([0, 18, 4]), np.ones(3, dtype=bool)) == 0
+        a, b = rng.random(19) < 0.5, rng.random(19) < 0.5
+        cols = np.array([2, 9, 11, 17])
+        assert self.check(np.array([b, a, a, b]), cols, a[cols]) == 1
+        assert self.check(np.array([a, b, a]), cols, a[cols]) == 0
+        same = np.ones((4, 19), dtype=bool)  # every row ties
+        assert self.check(same, cols, np.zeros(4, dtype=bool)) == 0
+
+    def test_no_columns_gives_first_row(self):
+        cache = AccuracyCache.from_dense(np.eye(3, 10) > 0)
+        assert cache.nearest_row(np.array([], dtype=np.int64), []) == 0
+
+    def test_first_models_view_sees_only_its_rows(self):
+        rng = np.random.default_rng(94)
+        dense = rng.random((10, 45)) < 0.5
+        full = AccuracyCache.from_dense(dense)
+        cols = rng.permutation(45)[:30]
+        values = dense[8, cols]  # only row 8, outside the view, matches
+        assert full.nearest_row(cols, values) == 8
+        view = full.first_models(6)
+        got = self.check(dense[:6], cols, values, cache=view)
+        assert got < 6
+        # built in the other order, the view answers the same
+        assert AccuracyCache.from_dense(dense).first_models(6).nearest_row(
+            cols, values
+        ) == got
+
+    def test_out_of_range_columns_rejected(self):
+        cache = AccuracyCache.from_dense(np.ones((2, 13), dtype=bool))
+        for bad in (13, -1):
+            with pytest.raises(IndexError, match="out of range"):
+                cache.nearest_row(np.array([0, bad]), np.array([True, True]))
+
+    def test_threads_racing_on_the_first_call(self):
+        # more threads than cores, switching often, all making their first
+        # call together: each must still get the bits_at formula's answers
+        import sys
+
+        rng = np.random.default_rng(95)
+        m, n = 48, 40_003
+        bits = AccuracyCache.from_dense(rng.random((m, n)) < 0.5).bits
+        queries = []
+        for _ in range(8):
+            cols = rng.permutation(n)[: int(rng.integers(1, n))]
+            queries.append((cols, rng.random(cols.size) < 0.5))
+        reference = AccuracyCache(m, n, bits)
+        expected = [_bits_at_nearest(reference, c, v) for c, v in queries]
+        workers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                cache = AccuracyCache(m, n, bits)  # no byte columns built yet
+                start = threading.Barrier(workers)
+                answers = [None] * workers
+
+                def work(t):
+                    start.wait(timeout=30)
+                    answers[t] = [cache.nearest_row(c, v) for c, v in queries]
+
+                threads = [
+                    threading.Thread(target=work, args=(t,)) for t in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert answers == [expected] * workers
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _mentioning(pattern: str) -> list[str]:
@@ -378,6 +504,39 @@ class TestPersistence:
         assert peak - before < 1 << 20
         assert not loaded.bits.flags.writeable
         assert loaded == cache
+
+    def test_save_writes_without_copy(self, tmp_path):
+        import tracemalloc
+
+        m, n = 64, 1_000_003  # about 8 MB of packed bits
+        rng = np.random.default_rng(15)
+        bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
+        bits[:, -1] &= 0x07
+        cache = AccuracyCache(m, n, bits)
+        path = tmp_path / "cache.llbc"
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_cache(cache, path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - before < 1 << 20
+        assert load_cache(path) == cache
+
+    def test_blocks_written_as_tobytes(self, tmp_path):
+        rng = np.random.default_rng(16)
+        grid = rng.random((6, 9)).astype("<f4")
+        blocks = [
+            rng.integers(0, 256, size=(5, 7), dtype=np.uint8),  # 2-D
+            grid[::2, 1::3],  # non-contiguous view
+            grid.T,  # Fortran-ordered view
+            np.zeros((0, 5), dtype=np.uint8),  # empty
+            np.arange(4, dtype="<u8"),
+            np.zeros(0, dtype="<f8"),
+        ]
+        path = tmp_path / "blocks"
+        _write_blocks(path, b"HEAD", *blocks)
+        assert path.read_bytes() == b"HEAD" + b"".join(b.tobytes() for b in blocks)
 
     @pytest.mark.parametrize(
         "save, load, value",

@@ -18,6 +18,7 @@ from lleval import (
     sort_by_sum,
     sort_models_by_sum,
 )
+from lleval import cli
 from lleval.cli import _derived_seed, main
 
 
@@ -485,6 +486,38 @@ class TestSimulate:
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "threaded" / name
             ).read_bytes()
+
+
+    SMALL_SWEEP = ["simulate", "--models", "12", "--holdout", "3", "--samples",
+                   "200", "--seed", "4", "--budgets", "8,32"]
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", " 2", "", "\u0662"])
+    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("LLEVAL_THREADS", value)
+        assert main(self.SMALL_SWEEP + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: LLEVAL_THREADS ") and err.count("\n") == 1
+        assert repr(value) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unset_and_zero_mean_every_core(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.delenv("LLEVAL_THREADS", raising=False)
+        assert cli._thread_count() == 3
+        for value, count in (("0", 3), ("00", 3), ("1", 1), ("5", 5)):
+            monkeypatch.setenv("LLEVAL_THREADS", value)
+            assert cli._thread_count() == count
+        monkeypatch.undo()
+        runs = {"unset": None, "zero": "0", "one": "1", "many": "64"}
+        for name, value in runs.items():
+            if value is None:
+                monkeypatch.delenv("LLEVAL_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("LLEVAL_THREADS", value)
+            assert main(self.SMALL_SWEEP + ["--out", str(tmp_path / name)]) == 0
+        for name in ("curve.csv", "baseline.csv", "fit.json", "summary.json"):
+            outputs = {(tmp_path / run / name).read_bytes() for run in runs}
+            assert len(outputs) == 1
 
 
 class TestMetricsCommand:
