@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import AccuracyCache
+from .cache import AccuracyCache, _outcomes
 from .search import Oracle, _batch_oracle, random_positions
 
 
@@ -40,7 +40,5 @@ def copy_nearest_expand_from_truth(
 ) -> np.ndarray:
     """``copy_nearest_expand`` for a fully known outcome row."""
     positions = _draw_positions(cache, budget, seed)
-    truth = np.asarray(truth).astype(bool, copy=False)
-    if truth.shape != (cache.num_samples,):
-        raise ValueError("truth length does not match cache columns")
+    truth = _outcomes(truth, cache.num_samples, "truth")
     return _nearest_fill(cache, positions, truth[positions])

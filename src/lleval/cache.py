@@ -6,7 +6,8 @@ byte j // 8, least-significant bit first); padding bits past column n are
 always zero.  An optional float32 matrix carries per-cell confidences.
 This module is the only one that reads or writes the packed bits, and the
 only one that knows a file format: the LLBC cache, the LLPM permutation,
-the LLSM totals and the JSON and CSV text artifacts.
+the LLSM totals, the JSON and CSV text artifacts and the input files.  It
+also holds the one rule for what an outcome row is (``_outcomes``).
 """
 
 from __future__ import annotations
@@ -67,6 +68,25 @@ def _byte_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 _BYTE_FALL, _BYTE_PEAK_BIT = _byte_tables()
+
+
+def _outcomes(
+    values: np.ndarray, length: int | None = None, name: str = "outcomes"
+) -> np.ndarray:
+    """The one rule for every outcome row, column and answer list: 1-D bool.
+
+    A bool array is returned as is; other values must each be 0 or 1.
+    """
+    row = np.asarray(values)
+    if row.ndim != 1:
+        raise ValueError(f"{name} must be 1-dimensional")
+    if length is not None and row.size != length:
+        raise ValueError(f"{name} length {row.size} does not match {length}")
+    if row.dtype != bool:
+        if not ((row == 0) | (row == 1)).all():
+            raise ValueError(f"{name} entries must be 0 or 1")
+        row = row.astype(bool)
+    return row
 
 
 def best_prefix(outcomes: np.ndarray) -> int:
@@ -144,16 +164,10 @@ class AccuracyCache:
         confidence: np.ndarray | None = None,
     ) -> "AccuracyCache":
         """Pack 0/1 rows of length ``num_samples``, reading one row at a time."""
-        packed = []
-        for row in rows:
-            row = np.asarray(row)
-            if row.shape != (num_samples,):
-                raise ValueError(
-                    f"row length {row.shape} does not match {num_samples} samples"
-                )
-            if row.dtype != bool and not ((row == 0) | (row == 1)).all():
-                raise ValueError("row entries must be 0 or 1")
-            packed.append(np.packbits(row.astype(bool, copy=False), bitorder="little"))
+        packed = [
+            np.packbits(_outcomes(row, num_samples, "row"), bitorder="little")
+            for row in rows
+        ]
         rb = _row_bytes(num_samples)
         bits = np.array(packed, dtype=np.uint8).reshape(len(packed), rb)
         return cls(len(packed), num_samples, bits, confidence)
@@ -221,6 +235,7 @@ class AccuracyCache:
         m * n / 8 byte transposed copy of the bits.
         """
         cols = self._checked_columns(cols)
+        values = _outcomes(values, cols.size, "values")
         held = np.zeros(self.num_samples, dtype=bool)
         wanted = np.zeros(self.num_samples, dtype=bool)
         held[cols] = True
@@ -302,17 +317,11 @@ class AccuracyCache:
         self, col: np.ndarray, confidence_col: np.ndarray | None = None
     ) -> "AccuracyCache":
         """New cache with one more sample; existing columns are untouched."""
-        col = np.asarray(col)
-        if col.shape != (self.num_models,):
-            raise ValueError(
-                f"column length {col.shape} does not match {self.num_models} models"
-            )
-        if col.dtype != bool and not ((col == 0) | (col == 1)).all():
-            raise ValueError("column entries must be 0 or 1")
+        col = _outcomes(col, self.num_models, "column")
         m, n = self.num_models, self.num_samples
         bits = np.zeros((m, _row_bytes(n + 1)), dtype=np.uint8)
         bits[:, : _row_bytes(n)] = self.bits
-        bits[:, n // 8] |= col.astype(bool).astype(np.uint8) << (n % 8)
+        bits[:, n // 8] |= col.view(np.uint8) << (n % 8)
         conf = None
         if self.confidence is not None:
             if confidence_col is None:
@@ -444,6 +453,19 @@ def _write_json(path: str | Path, payload: dict) -> None:
     _write_blocks(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _read_json(path: str | Path) -> dict:
+    return json.loads(Path(path).read_text())
+
+
+def _read_outcomes(path: str | Path, length: int, name: str) -> np.ndarray:
+    """``length`` 0/1 tokens separated by commas and/or whitespace."""
+    tokens = Path(path).read_text().replace(",", " ").split()
+    for t, tok in enumerate(tokens):
+        if tok not in ("0", "1"):
+            raise ValueError(f"{path}: token {t + 1} is {tok!r}, expected 0 or 1")
+    return _outcomes([tok == "1" for tok in tokens], length, name)
+
+
 def _unpack_header(
     data: bytes, magic: bytes, header: struct.Struct, version: int
 ) -> tuple:
@@ -508,7 +530,8 @@ def load_cache(path: str | Path) -> AccuracyCache:
 
 def save_permutation(perm: Permutation, path: str | Path) -> None:
     header = _IO_HEADER.pack(_PERM_MAGIC, _IO_VERSION, len(perm))
-    _write_blocks(path, header, perm.order.astype("<u8"))
+    # never negative, so its int64 bytes are the stored uint64 ones
+    _write_blocks(path, header, perm.order.astype("<i8", copy=False))
 
 
 def load_permutation(path: str | Path) -> Permutation:
@@ -541,37 +564,37 @@ def import_csv(path: str | Path, has_confidence: bool = False) -> AccuracyCache:
     binarized as v >= 0.5; otherwise entries must be exactly 0 or 1.
     """
     text = Path(path).read_text()
-    rows: list[list[float]] = []
-    width: int | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        values = []
-        for colno, tok in enumerate(tokens, start=1):
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    width = len(lines[0][1].split(",")) if lines else 0
+    confidence = np.empty((len(lines), width), np.float32) if has_confidence else None
+    rule = "outside [0, 1]" if has_confidence else "is not 0 or 1"
+
+    def rows():
+        for i, (lineno, line) in enumerate(lines):
+            tokens = line.split(",")
             try:
-                values.append(float(tok))
-            except ValueError:
+                values = np.array(tokens, dtype=np.float64)  # float()'s grammar
+            except ValueError:  # find the bad column only on this path
+                for colno, tok in enumerate(tokens, start=1):
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise ValueError(
+                            f"row {lineno}, column {colno}: not a number: {tok.strip()!r}"
+                        ) from None
+                raise
+            if values.size != width:
                 raise ValueError(
-                    f"row {lineno}, column {colno}: not a number: {tok.strip()!r}"
-                ) from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(
-                f"row {lineno}: ragged row, expected {width} values, got {len(values)}"
-            )
-        for colno, v in enumerate(values, start=1):
-            if has_confidence:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(
-                        f"row {lineno}, column {colno}: value {v} outside [0, 1]"
-                    )
-            elif v not in (0.0, 1.0):
-                raise ValueError(
-                    f"row {lineno}, column {colno}: value {v} is not 0 or 1"
+                    f"row {lineno}: ragged row, expected {width} values, got {values.size}"
                 )
-        rows.append(values)
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
-    confidence = matrix.astype(np.float32) if has_confidence else None
-    return AccuracyCache.from_dense(matrix >= 0.5, confidence)
+            bad = (~((values >= 0.0) & (values <= 1.0)) if has_confidence  # NaN is bad
+                   else (values != 0.0) & (values != 1.0))
+            if bad.any():
+                colno = int(bad.argmax()) + 1
+                v = float(values[colno - 1])
+                raise ValueError(f"row {lineno}, column {colno}: value {v} {rule}")
+            if has_confidence:
+                confidence[i] = values
+            yield values >= 0.5  # float64: 0.49999999 rounds to 0.5 in float32
+
+    return AccuracyCache.from_rows(width, rows(), confidence)

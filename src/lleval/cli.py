@@ -24,6 +24,8 @@ from .cache import (
     AccuracyCache,
     SortMethod,
     SortResult,
+    _read_json,
+    _read_outcomes,
     _write_json,
     _write_rows,
     import_csv,
@@ -56,22 +58,6 @@ from .sort import (
 )
 
 PAPER_BUDGETS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
-
-
-def _read_binary_vector(path: str | Path) -> np.ndarray:
-    """0/1 values separated by commas and/or whitespace."""
-    tokens = Path(path).read_text().replace(",", " ").split()
-    if not tokens:
-        raise ValueError(f"{path}: empty outcome file")
-    values = np.empty(len(tokens), dtype=bool)
-    for t, tok in enumerate(tokens):
-        if tok == "0":
-            values[t] = False
-        elif tok == "1":
-            values[t] = True
-        else:
-            raise ValueError(f"{path}: token {t + 1} is {tok!r}, expected 0 or 1")
-    return values
 
 
 def _parse_budgets(text: str | None, total: int) -> list[int]:
@@ -153,9 +139,7 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets, total)
     strategy = SamplingStrategy(args.strategy)
     if args.truth is not None:
-        truth = _read_binary_vector(args.truth)
-        if truth.size != total:
-            raise ValueError(f"truth length {truth.size} does not match {total} samples")
+        truth = _read_outcomes(args.truth, total, "truth")
         scorer = RankedTruth(truth, sort_result.permutation)  # one for every budget
     else:
         oracle = _command_oracle(args.oracle_cmd)
@@ -184,20 +168,16 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         raise ValueError("cache has no models to rank")
     model_sort = sort_models_by_sum(cache)
     strategy = SamplingStrategy(args.strategy)
-    outcomes = _read_binary_vector(args.outcomes) if args.outcomes else None
-    if outcomes is not None and outcomes.size != cache.num_models:
-        raise ValueError(
-            f"outcome length {outcomes.size} does not match {cache.num_models} models"
-        )
     budget = args.budget
-    if outcomes is not None:
+    if args.outcomes is not None:
+        outcomes = _read_outcomes(args.outcomes, cache.num_models, "outcomes")
         pred, sel = evaluate_from_truth(model_sort, outcomes, budget, strategy, args.seed)
     else:
         oracle = _command_oracle(args.oracle_cmd)
         pred, sel = evaluate_new_model(model_sort, oracle, budget, strategy, args.seed)
     record = prediction_to_dict(pred, sel)
     record["difficulty_rank"] = pred.k  # models expected to solve it
-    if outcomes is not None:
+    if args.outcomes is not None:
         report = error_decomposition(
             outcomes, pred, model_sort.permutation, budget=budget
         )
@@ -249,46 +229,53 @@ def _thread_count() -> int:
     return int(raw) or (os.cpu_count() or 1)
 
 
+# generator flags that --spec-json replaces; each defaults to None
+_SPEC_FLAGS = ("models", "samples", "seed", "tau", "noise", "ability_lo", "ability_hi")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .synthgen import SynthSpec, generate
 
+    given = [name for name in _SPEC_FLAGS if getattr(args, name) is not None]
+    if args.spec_json and given:
+        flag = "--" + given[0].replace("_", "-")
+        _usage_error(f"argument {flag}: not allowed with argument --spec-json")
     threads = _thread_count()
     if args.holdout < 1:
         raise ValueError("--holdout must be at least 1")
     if args.spec_json:
-        record = json.loads(Path(args.spec_json).read_text())
-        spec = SynthSpec.from_dict(record)
+        spec = SynthSpec.from_dict(_read_json(args.spec_json))
         if spec.num_models <= args.holdout:
             raise ValueError("spec num_models must exceed --holdout")
-        args.models = spec.num_models - args.holdout
-        args.samples = spec.num_samples
-        args.seed = spec.seed
     else:
         if args.models is None or args.samples is None:
             raise ValueError("either --spec-json or --models/--samples required")
         if args.models < 1:
             raise ValueError("--models must be at least 1")
+        lo, hi = SynthSpec.ability_range
+        lo = lo if args.ability_lo is None else args.ability_lo
+        hi = hi if args.ability_hi is None else args.ability_hi
+        options = {"temperature": args.tau, "noise": args.noise, "seed": args.seed}
         spec = SynthSpec(
             num_models=args.models + args.holdout,
             num_samples=args.samples,
-            ability_range=(args.ability_lo, args.ability_hi),
-            temperature=args.tau,
-            noise=args.noise,
-            seed=args.seed,
+            ability_range=(lo, hi),
+            **{name: value for name, value in options.items() if value is not None},
         )
+    models = spec.num_models - args.holdout
     cache_full, _, _ = generate(spec)
     if args.save_cache:
         save_cache(cache_full, args.save_cache)
-    sort_cache = cache_full.first_models(args.models)
+    sort_cache = cache_full.first_models(models)
     sort_result = sort_by_sum(sort_cache)
     budgets = _parse_budgets(args.budgets, spec.num_samples)
     strategy = SamplingStrategy(args.strategy)
     run_baseline = not args.skip_baseline
 
     def work(h: int) -> tuple[list[ErrorReport], list[float]]:
-        truth = cache_full.row(args.models + h)
+        truth = cache_full.row(models + h)
         return _simulate_model(
-            sort_result, sort_cache, truth, budgets, strategy, args.seed, h, run_baseline
+            sort_result, sort_cache, truth, budgets, strategy, spec.seed, h, run_baseline
         )
 
     threads = min(threads, args.holdout)
@@ -330,7 +317,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(out_dir / "fit.json", fit_record)
     summary = {
         "spec": spec.to_dict(),
-        "sort_models": args.models,
+        "sort_models": models,
         "holdout_models": args.holdout,
         "strategy": strategy.value,
         "budgets": budgets,
@@ -344,9 +331,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    truth = _read_binary_vector(args.truth)
-    record = json.loads(Path(args.pred).read_text())
-    pred, selection = prediction_from_dict(record)
+    pred, selection = prediction_from_dict(_read_json(args.pred))
+    truth = _read_outcomes(args.truth, pred.length, "truth")
     perm = load_permutation(args.perm)
     report = error_decomposition(truth, pred, perm, budget=selection.budget)
     payload = report.to_dict()
@@ -360,11 +346,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line and exits 2."""
+def _usage_error(message: str) -> NoReturn:
+    """A usage error: one ``error:`` line, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
+
+class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {message}\n")
+        _usage_error(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -416,11 +406,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, help="models used for sorting")
     p.add_argument("--holdout", type=int, required=True, help="models evaluated")
     p.add_argument("--samples", type=int)
-    p.add_argument("--tau", type=float, default=0.1)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--ability-lo", type=float, default=0.0)
-    p.add_argument("--ability-hi", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--ability-lo", type=float)
+    p.add_argument("--ability-hi", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--budgets")
     p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
     p.add_argument("--skip-baseline", action="store_true")
@@ -441,10 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # a usage error (2) or --help (0)
         return exc.code
-    try:
-        return args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cache import Permutation, ThresholdVector, _write_rows
+from .cache import Permutation, ThresholdVector, _outcomes, _write_rows
 from .search import dp_search
 
 CURVE_FIELDS = ("budget", "mae", "agg_error", "aleatoric", "epistemic")
@@ -46,17 +46,6 @@ class ErrorReport:
             epistemic=float(record["epistemic"]),
             budget=int(record["budget"]),
         )
-
-
-def _check_lengths(truth: np.ndarray, pred: ThresholdVector) -> np.ndarray:
-    truth = np.asarray(truth).astype(bool, copy=False)
-    if truth.ndim != 1:
-        raise ValueError("truth must be 1-dimensional")
-    if truth.size != pred.length:
-        raise ValueError(
-            f"truth length {truth.size} does not match prediction {pred.length}"
-        )
-    return truth
 
 
 class RankedTruth:
@@ -100,7 +89,7 @@ class RankedTruth:
 
 def mae(truth: np.ndarray, pred: ThresholdVector, perm: Permutation) -> float:
     """Fraction of positions where the ranked truth disagrees with the step."""
-    truth = _check_lengths(truth, pred)
+    truth = _outcomes(truth, pred.length, "truth")
     if len(perm) != truth.size:
         raise ValueError("permutation length does not match truth")
     if truth.size == 0:
@@ -110,7 +99,7 @@ def mae(truth: np.ndarray, pred: ThresholdVector, perm: Permutation) -> float:
 
 def agg_error(truth: np.ndarray, pred: ThresholdVector) -> float:
     """Absolute difference of the two accuracy counts, normalized by n."""
-    truth = _check_lengths(truth, pred)
+    truth = _outcomes(truth, pred.length, "truth")
     if truth.size == 0:
         return 0.0
     return abs(pred.k - int(truth.sum())) / truth.size
@@ -123,7 +112,7 @@ def adversarial_construction(truth: np.ndarray) -> np.ndarray:
     positions of the other kind (complement when exactly balanced), giving
     zero aggregate error and per-sample error 2 * min(acc, 1 - acc).
     """
-    a = np.asarray(truth).astype(bool)
+    a = _outcomes(truth, name="truth")
     n = a.size
     if n == 0:
         return a.copy()
@@ -154,7 +143,7 @@ def error_decomposition(
     truth; the gap (epistemic) is how far the budgeted cut k landed from
     that optimum, |k* - k| / n.
     """
-    truth = _check_lengths(truth, pred)
+    truth = _outcomes(truth, pred.length, "truth")
     if len(perm) != truth.size:
         raise ValueError("permutation length does not match truth")
     return RankedTruth(truth, perm).report(pred.k, budget)

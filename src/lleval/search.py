@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import SortResult, ThresholdVector, best_prefix
+from .cache import SortResult, ThresholdVector, _outcomes, best_prefix
 
 Oracle = Callable[[int], bool]
 
@@ -34,11 +34,9 @@ class SampleSelection:
 
     def __post_init__(self) -> None:
         positions = np.ascontiguousarray(np.asarray(self.positions, dtype=np.int64))
-        outcomes = np.ascontiguousarray(np.asarray(self.outcomes, dtype=bool))
-        if positions.ndim != 1 or outcomes.ndim != 1:
-            raise ValueError("positions and outcomes must be 1-dimensional")
-        if positions.size != outcomes.size:
-            raise ValueError("positions and outcomes lengths differ")
+        if positions.ndim != 1:
+            raise ValueError("positions must be 1-dimensional")
+        outcomes = np.ascontiguousarray(_outcomes(self.outcomes, positions.size))
         if positions.size:
             if int(positions.min()) < 0:
                 raise ValueError("positions must be non-negative")
@@ -78,9 +76,7 @@ def dp_search(observations: np.ndarray) -> ThresholdVector:
     score sum(2*b - 1); ties resolve to the smallest cut.  ``best_prefix``
     packs the observations and finds it in one scan over L/8 bytes.
     """
-    bits = np.asarray(observations).astype(bool, copy=False)
-    if bits.ndim != 1:
-        raise ValueError("observations must be 1-dimensional")
+    bits = _outcomes(observations, name="observations")
     return ThresholdVector(bits.size, best_prefix(bits))
 
 
@@ -112,11 +108,15 @@ def _pick_positions(
 
 
 def _batch_oracle(oracle: Oracle) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch view of a per-index oracle: asks it once per index, in order."""
+    """Batch view of a per-index oracle: asks it once per index, in order.
+
+    Each answer must be a bool or a number 0 or 1; a string such as "0" is
+    an error, not a truthy hit.
+    """
 
     def observe(indices: np.ndarray) -> np.ndarray:
-        answers = (bool(oracle(i)) for i in indices.tolist())
-        return np.fromiter(answers, dtype=bool, count=indices.size)
+        answers = [oracle(i) for i in indices.tolist()]
+        return _outcomes(answers, name="oracle answers")
 
     return observe
 
@@ -173,9 +173,7 @@ def evaluate_from_truth(
     ``truth`` is indexed in original coordinates; results are identical to
     wrapping it in a per-index oracle.
     """
-    truth = np.asarray(truth).astype(bool, copy=False)
-    if truth.shape != (sort.num_samples,):
-        raise ValueError("truth length does not match permutation")
+    truth = _outcomes(truth, sort.num_samples, "truth")
     return _evaluate(sort, truth.__getitem__, budget, strategy, seed)
 
 
@@ -201,7 +199,7 @@ def prediction_from_dict(record: dict) -> tuple[ThresholdVector, SampleSelection
     prediction = ThresholdVector(int(record["total"]), int(record["threshold"]))
     selection = SampleSelection(
         np.asarray(record["positions"], dtype=np.int64),
-        np.asarray(record["outcomes"], dtype=bool),
+        record["outcomes"],
         SamplingStrategy(record["strategy"]),
         record.get("seed"),
     )

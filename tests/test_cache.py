@@ -341,7 +341,7 @@ class TestFileFormats:
     def test_only_cache_knows_file_formats(self):
         pattern = (
             r"import struct|_replacing_writer|tobytes|frombuffer|memmap"
-            r'|b"LL|TYPE_CHECKING'
+            r'|b"LL|TYPE_CHECKING|json\.loads|read_text|read_bytes|astype\(bool'
         )
         assert _mentioning(pattern) == []
 

@@ -488,6 +488,24 @@ class TestSimulate:
             ).read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--models", "20"), ("--samples", "400"), ("--seed", "4"), ("--tau", "0.1"),
+         ("--noise", "0.05"), ("--ability-lo", "0.0"), ("--ability-hi", "1.0")],
+    )
+    def test_spec_json_rejects_generator_flags(self, tmp_path, capsys, flag, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"num_models": 30, "num_samples": 400}))
+        out_dir = tmp_path / "sim"
+        rc = main(["simulate", "--spec-json", str(spec_path), "--holdout", "10",
+                   "--save-cache", str(tmp_path / "generated.llbc"),
+                   flag, value, "--out", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: argument {flag}: not allowed with argument --spec-json\n"
+        assert not out_dir.exists()
+        assert not (tmp_path / "generated.llbc").exists()
+
     SMALL_SWEEP = ["simulate", "--models", "12", "--holdout", "3", "--samples",
                    "200", "--seed", "4", "--budgets", "8,32"]
 

@@ -341,6 +341,30 @@ class TestSortPersistence:
         with pytest.raises(FormatError, match="truncated"):
             load_permutation(path)
 
+    def test_permutation_written_without_copy(self, tmp_path):
+        import tracemalloc
+
+        n = 1 << 20  # an 8 MB int64 order
+        order = np.random.default_rng(17).permutation(n)
+        perm = Permutation(order)
+        path = tmp_path / "p.llpm"
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_permutation(perm, path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - before < 1 << 20
+        # the stored payload is the uint64 order, as before
+        assert path.read_bytes()[-8 * n:] == order.astype("<u8").tobytes()
+        assert np.array_equal(load_permutation(path).order, order)
+
+    def test_int32_order_stored_as_uint64(self, tmp_path):
+        order = np.array([2, 0, 3, 1], dtype=np.int32)
+        path = tmp_path / "p.llpm"
+        save_permutation(Permutation(order), path)
+        assert path.read_bytes()[-32:] == order.astype("<u8").tobytes()
+
 
 class TestDescendingStableArgsort:
     def test_matches_lexsort_for_ints_and_floats(self):
