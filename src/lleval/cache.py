@@ -40,6 +40,9 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 # packed bytes popcounted at once by ``row_sums``: bounds that scratch
 _POPCOUNT_CHUNK_BYTES = 1 << 22
+# packed bytes per ``column_sums`` tile: its 512 KB counter and row stay in L2
+_TILE_BYTES = 1 << 16
+_WRITE_CHUNK = 1 << 16  # totals converted to f8 at once by ``save_sums``
 
 
 class FormatError(ValueError):
@@ -116,7 +119,8 @@ def best_prefix(outcomes: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class AccuracyCache:
-    """Immutable m*n boolean outcome matrix, packed row-major."""
+    """Immutable m*n boolean outcome matrix, packed row-major; arrays needing
+    no conversion are read-only views sharing the caller's buffers."""
 
     num_models: int
     num_samples: int
@@ -131,7 +135,7 @@ class AccuracyCache:
         m, n = self.num_models, self.num_samples
         if m < 0 or n < 0:
             raise ValueError("cache dimensions must be non-negative")
-        bits = np.ascontiguousarray(np.asarray(self.bits, dtype=np.uint8))
+        bits = np.ascontiguousarray(np.asarray(self.bits, dtype=np.uint8)).view()
         if bits.shape != (m, _row_bytes(n)):
             raise ValueError(
                 f"bits shape {bits.shape} does not match {m}x{n} cache"
@@ -144,7 +148,7 @@ class AccuracyCache:
         if self.confidence is not None:
             conf = np.ascontiguousarray(
                 np.asarray(self.confidence, dtype=np.float32)
-            )
+            ).view()
             if conf.shape != (m, n):
                 raise ValueError(
                     f"confidence shape {conf.shape} does not match {m}x{n} cache"
@@ -273,13 +277,20 @@ class AccuracyCache:
     def column_sums(self) -> np.ndarray:
         """Per-column popcounts.
 
-        Accumulates one row at a time, so the only persistent scratch is the
-        length-n accumulator.
+        Per tile of ``_TILE_BYTES`` packed columns, adds unpacked rows into a
+        uint8 counter, flushed into the result every 255 rows so it cannot
+        wrap; the length-n result is the only large array.
         """
-        dtype = np.int32 if self.num_models <= _INT32_MAX else np.int64
-        sums = np.zeros(self.num_samples, dtype=dtype)
-        for i in range(self.num_models):
-            np.add(sums, self.row(i), out=sums)
+        m, n = self.num_models, self.num_samples
+        sums = np.zeros(n, dtype=np.int32 if m <= _INT32_MAX else np.int64)
+        for lo in range(0, n, 8 * _TILE_BYTES):
+            tile = self.bits[:, lo // 8 : lo // 8 + _TILE_BYTES]
+            width = min(8 * _TILE_BYTES, n - lo)
+            for first in range(0, m, 255):
+                count = np.zeros(width, dtype=np.uint8)
+                for row in tile[first : first + 255]:
+                    count += np.unpackbits(row, count=width, bitorder="little")
+                sums[lo : lo + width] += count
         return sums
 
     def row_sums(self) -> np.ndarray:
@@ -336,12 +347,13 @@ class AccuracyCache:
 
 @dataclass(frozen=True, eq=False)
 class Permutation:
-    """Bijection on item indices; ``order[r]`` is the item placed at rank r."""
+    """Bijection on item indices; ``order[r]`` is the item placed at rank r.
+    An int32/int64 ``order`` is a read-only view sharing the caller's buffer."""
 
     order: np.ndarray
 
     def __post_init__(self) -> None:
-        order = np.ascontiguousarray(np.asarray(self.order))
+        order = np.ascontiguousarray(np.asarray(self.order)).view()
         if order.ndim != 1:
             raise ValueError("permutation order must be 1-dimensional")
         if not (order.dtype == np.int32 or order.dtype == np.int64):
@@ -397,14 +409,15 @@ class SortMethod(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SortResult:
-    """A column permutation plus the per-column totals in rank order."""
+    """A column permutation plus the per-column totals in rank order;
+    contiguous ``sums`` are a read-only view sharing the caller's buffer."""
 
     permutation: Permutation
     sums: np.ndarray
     method: SortMethod
 
     def __post_init__(self) -> None:
-        sums = np.ascontiguousarray(np.asarray(self.sums))
+        sums = np.ascontiguousarray(np.asarray(self.sums)).view()
         if sums.shape != (len(self.permutation),):
             raise ValueError("sums length does not match permutation")
         sums.flags.writeable = False
@@ -540,9 +553,11 @@ def load_permutation(path: str | Path) -> Permutation:
 
 
 def save_sums(sums: np.ndarray, path: str | Path) -> None:
-    sums = np.asarray(sums)
-    header = _IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size)
-    _write_blocks(path, header, sums.astype("<f8", copy=False))
+    sums = np.ravel(sums)
+    with _replacing_writer(path) as fh:
+        fh.write(_IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size))
+        for lo in range(0, sums.size, _WRITE_CHUNK):  # no 8n-byte f8 copy
+            fh.write(sums[lo : lo + _WRITE_CHUNK].astype("<f8", copy=False).data)
 
 
 def load_sums(path: str | Path) -> np.ndarray:

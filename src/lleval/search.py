@@ -25,7 +25,8 @@ class SamplingStrategy(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampleSelection:
-    """Evaluated positions (rank coordinates) and their observed outcomes."""
+    """Evaluated positions (rank coordinates) and their observed outcomes;
+    arrays needing no conversion are read-only views of the caller's buffers."""
 
     positions: np.ndarray
     outcomes: np.ndarray
@@ -33,10 +34,10 @@ class SampleSelection:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        positions = np.ascontiguousarray(np.asarray(self.positions, dtype=np.int64))
+        positions = np.ascontiguousarray(np.asarray(self.positions, dtype=np.int64)).view()
         if positions.ndim != 1:
             raise ValueError("positions must be 1-dimensional")
-        outcomes = np.ascontiguousarray(_outcomes(self.outcomes, positions.size))
+        outcomes = np.ascontiguousarray(_outcomes(self.outcomes, positions.size)).view()
         if positions.size:
             if int(positions.min()) < 0:
                 raise ValueError("positions must be non-negative")

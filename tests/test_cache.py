@@ -14,6 +14,9 @@ from lleval import (
     ErrorReport,
     FormatError,
     Permutation,
+    SampleSelection,
+    SortMethod,
+    SortResult,
     ThresholdVector,
     import_csv,
     load_cache,
@@ -26,7 +29,7 @@ from lleval import (
     write_error_curve,
 )
 import lleval
-from lleval.cache import _write_blocks, _write_rows
+from lleval.cache import _TILE_BYTES, _write_blocks, _write_rows
 from lleval.cli import _write_json
 
 
@@ -37,6 +40,24 @@ def random_cache(rng, m, n, with_confidence=False):
         conf = rng.random((m, n)).astype(np.float32)
         dense = conf >= 0.5
     return AccuracyCache.from_dense(dense, conf)
+
+
+def column_sums_ref(bits, n):
+    """Per-column popcounts summed one bit plane at a time, not row by row."""
+    planes = [((bits >> b) & 1).sum(axis=0, dtype=np.int64) for b in range(8)]
+    return np.stack(planes, axis=1).reshape(-1)[:n]
+
+
+def packed_cache(m, n, seed=None):
+    """m x n cache of random packed bits (all ones without a seed)."""
+    shape = (m, (n + 7) // 8)
+    if seed is None:
+        bits = np.full(shape, 0xFF, dtype=np.uint8)
+    else:
+        bits = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+    if n % 8 and m:
+        bits[:, -1] &= (1 << n % 8) - 1
+    return AccuracyCache(m, n, bits)
 
 
 class TestConstruction:
@@ -400,6 +421,60 @@ class TestColumnSums:
         # accumulator plus one transient unpacked row, nothing bigger
         assert peak - before <= 8 * n + (1 << 20)
 
+    @pytest.mark.parametrize("m", [0, 1, 254, 255, 256, 510, 511])
+    def test_all_ones_rows_pass_the_uint8_wrap(self, m):
+        n = 8 * _TILE_BYTES + 9
+        sums = packed_cache(m, n).column_sums()
+        assert sums.dtype == np.int32
+        assert np.array_equal(sums, np.full(n, m))
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (5, 8 * _TILE_BYTES - 1),
+            (5, 8 * _TILE_BYTES),
+            (5, 8 * _TILE_BYTES + 9),
+            (300, 2 * 8 * _TILE_BYTES + 3),
+            (7, 1003),
+        ],
+    )
+    def test_tile_edges_match_bit_planes(self, m, n):
+        cache = packed_cache(m, n, seed=n + m)
+        assert np.array_equal(cache.column_sums(), column_sums_ref(cache.bits, n))
+
+    def test_first_models_view(self):
+        n = 8 * _TILE_BYTES + 5
+        cache = packed_cache(300, n, seed=19)
+        for k in (0, 1, 255, 256, 300):
+            head = cache.first_models(k)
+            assert k == 0 or np.shares_memory(head.bits, cache.bits)
+            assert np.array_equal(
+                head.column_sums(), column_sums_ref(cache.bits[:k], n)
+            )
+
+    def test_memory_mapped_cache(self, tmp_path):
+        n = 3 * 8 * _TILE_BYTES + 7
+        cache = packed_cache(260, n, seed=17)
+        save_cache(cache, tmp_path / "cache.llbc")
+        mapped = load_cache(tmp_path / "cache.llbc")
+        assert not mapped.bits.flags.writeable
+        assert np.array_equal(mapped.column_sums(), column_sums_ref(cache.bits, n))
+
+    def test_scratch_beyond_result_is_one_tile(self):
+        import tracemalloc
+
+        n = 5 * 8 * _TILE_BYTES + 3
+        cache = packed_cache(4, n, seed=18)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sums = cache.column_sums()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the int32 result, then a tile's counter and unpacked row
+        assert peak - before <= 4 * n + (2 << 20)
+        assert np.array_equal(sums, column_sums_ref(cache.bits, n))
+
     def test_row_sums_match_dense(self):
         rng = np.random.default_rng(4)
         for m, n in [(0, 0), (3, 0), (0, 9), (5, 13), (40, 3)]:
@@ -657,6 +732,52 @@ class TestPermutationType:
 
     def test_empty(self):
         assert len(Permutation(np.array([], dtype=np.int64))) == 0
+
+
+class TestCallerArrays:
+    """Each artifact freezes a view, never the array its caller handed in."""
+
+    @pytest.mark.parametrize(
+        "build, field, array",
+        [
+            (lambda a: AccuracyCache(2, 8, a), "bits", np.zeros((2, 1), np.uint8)),
+            (
+                lambda a: AccuracyCache(1, 2, np.zeros((1, 1), np.uint8), a),
+                "confidence",
+                np.zeros((1, 2), np.float32),
+            ),
+            (Permutation, "order", np.arange(4)),
+            (
+                lambda a: SortResult(Permutation(np.arange(4)), a, SortMethod.SUM),
+                "sums",
+                np.arange(4),
+            ),
+            (
+                lambda a: SampleSelection(a, np.zeros(4, dtype=bool)),
+                "positions",
+                np.arange(4, dtype=np.int64),
+            ),
+            (
+                lambda a: SampleSelection(np.arange(4), a),
+                "outcomes",
+                np.zeros(4, dtype=bool),
+            ),
+        ],
+        ids=[
+            "AccuracyCache.bits",
+            "AccuracyCache.confidence",
+            "Permutation",
+            "SortResult",
+            "SampleSelection.positions",
+            "SampleSelection.outcomes",
+        ],
+    )
+    def test_caller_array_stays_writeable(self, build, field, array):
+        held = getattr(build(array), field)
+        assert np.shares_memory(held, array)
+        assert not held.flags.writeable
+        array.flat[0] = array.flat[0]  # raised while the caller's array was frozen
+        assert array.flags.writeable
 
 
 class TestThresholdVectorType:

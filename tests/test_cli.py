@@ -123,6 +123,31 @@ class TestSort:
             assert out.exists()
 
 
+    def test_paper_scale_sort_keeps_two_arrays(self, tmp_path, capsys):
+        import tracemalloc
+
+        m, n = 500, 1_700_000
+        rng = np.random.default_rng(21)
+        bits = rng.integers(0, 256, size=(m, n // 8), dtype=np.uint8)
+        cache_path, out = tmp_path / "paper.llbc", tmp_path / "paper.llpm"
+        save_cache(AccuracyCache(m, n, bits), cache_path)
+        del bits
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rc = main(["sort", "--cache", str(cache_path), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rc == 0
+        # int32 totals and an int64 order; the memory-mapped cache is untraced
+        assert peak - before <= 12 * n + (8 << 20)
+        from lleval import load_permutation, load_sums
+
+        sums = load_sums(out.with_suffix(".llsm"))
+        assert len(load_permutation(out)) == sums.size == n
+        assert np.all(np.diff(sums) <= 0)
+
+
 class TestEvalModel:
     def test_full_budget_mae_equals_aleatoric(self, small_setup):
         tmp_path, dense, cache_path, perm_path = small_setup
