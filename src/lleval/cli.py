@@ -215,7 +215,7 @@ def _simulate_model(
         reports.append(scorer.report(pred.k, budget))
         if run_baseline:
             guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, derived)
-            baseline_maes.append(float(np.mean(guess != truth)))
+            baseline_maes.append(np.count_nonzero(guess != truth) / truth.size)
     return reports, baseline_maes
 
 
@@ -263,23 +263,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             **{name: value for name, value in options.items() if value is not None},
         )
     models = spec.num_models - args.holdout
-    cache_full, _, _ = generate(spec)
-    if args.save_cache:
-        save_cache(cache_full, args.save_cache)
-    sort_cache = cache_full.first_models(models)
-    sort_result = sort_by_sum(sort_cache)
-    budgets = _parse_budgets(args.budgets, spec.num_samples)
-    strategy = SamplingStrategy(args.strategy)
-    run_baseline = not args.skip_baseline
-
-    def work(h: int) -> tuple[list[ErrorReport], list[float]]:
-        truth = cache_full.row(models + h)
-        return _simulate_model(
-            sort_result, sort_cache, truth, budgets, strategy, spec.seed, h, run_baseline
-        )
-
-    threads = min(threads, args.holdout)
+    # rows, then held-out models; the pool starts a worker only when a task
+    # finds none idle, so LLEVAL_THREADS past the work starts no extra thread
     with ThreadPoolExecutor(max_workers=threads) as pool:
+        cache_full, _, _ = generate(spec, map=pool.map)
+        if args.save_cache:
+            save_cache(cache_full, args.save_cache)
+        sort_cache = cache_full.first_models(models)
+        sort_result = sort_by_sum(sort_cache)
+        budgets = _parse_budgets(args.budgets, spec.num_samples)
+        strategy = SamplingStrategy(args.strategy)
+        run_baseline = not args.skip_baseline
+
+        def work(h: int) -> tuple[list[ErrorReport], list[float]]:
+            truth = cache_full.row(models + h)
+            return _simulate_model(
+                sort_result, sort_cache, truth, budgets, strategy, spec.seed, h, run_baseline
+            )
+
         per_model = list(pool.map(work, range(args.holdout)))
 
     out_dir = Path(args.out)

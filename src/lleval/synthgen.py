@@ -71,9 +71,14 @@ class SynthSpec:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; each sign takes the float steps of the
-    # two-branch form 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x))
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # two-branch form 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)).  The
+    # numerator is 1 where x >= 0 (there e <= 1) and e elsewhere (e >= 0).
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    numerator = np.maximum(e, x >= 0)
+    e += 1.0
+    numerator /= e
+    return numerator
 
 
 def _params(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -87,26 +92,34 @@ def _params(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
 def _correct_probability(
     spec: SynthSpec, ability: float, difficulties: np.ndarray
 ) -> np.ndarray:
-    clean = _sigmoid((ability - difficulties) / spec.temperature)
-    return (1.0 - spec.noise) * clean + 0.5 * spec.noise
+    x = ability - difficulties
+    x /= spec.temperature
+    p = _sigmoid(x)
+    p *= 1.0 - spec.noise
+    p += 0.5 * spec.noise
+    return p
 
 
 def generate(
-    spec: SynthSpec, include_confidence: bool = False
+    spec: SynthSpec, include_confidence: bool = False, map: Callable = map
 ) -> tuple[AccuracyCache, np.ndarray, np.ndarray]:
-    """Draw a cache; returns (cache, abilities, difficulties)."""
+    """Draw a cache; returns (cache, abilities, difficulties).
+
+    ``map`` applies the row function to every row index, for example a
+    thread pool's ``map``.  Each row draws from its own (seed, index) stream
+    and rows are packed in index order, so the cache never depends on it.
+    """
     difficulties, abilities = _params(spec)
     m, n = spec.num_models, spec.num_samples
     confidence = np.zeros((m, n), dtype=np.float32) if include_confidence else None
 
-    def rows():
-        for i in range(m):
-            p = _correct_probability(spec, float(abilities[i]), difficulties)
-            if confidence is not None:
-                confidence[i] = p  # filled before from_rows checks it
-            yield np.random.default_rng([spec.seed, _ROW_STREAM, i]).random(n) < p
+    def row(i: int) -> np.ndarray:
+        p = _correct_probability(spec, float(abilities[i]), difficulties)
+        if confidence is not None:
+            confidence[i] = p  # filled before from_rows checks it
+        return np.random.default_rng([spec.seed, _ROW_STREAM, i]).random(n) < p
 
-    cache = AccuracyCache.from_rows(n, rows(), confidence)
+    cache = AccuracyCache.from_rows(n, map(row, range(m)), confidence)
     return cache, abilities, difficulties
 
 

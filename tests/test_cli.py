@@ -503,14 +503,17 @@ class TestSimulate:
             "--budgets",
             "8,32,128",
         ]
-        monkeypatch.setenv("LLEVAL_THREADS", "1")
-        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
-        monkeypatch.setenv("LLEVAL_THREADS", "4")
-        assert main(args + ["--out", str(tmp_path / "threaded")]) == 0
+        for threads, run in (("1", "serial"), ("4", "threaded")):
+            monkeypatch.setenv("LLEVAL_THREADS", threads)
+            assert main(args + ["--out", str(tmp_path / run),
+                                "--save-cache", str(tmp_path / f"{run}.llbc")]) == 0
         for name in ("curve.csv", "baseline.csv", "fit.json", "summary.json"):
             assert (tmp_path / "serial" / name).read_bytes() == (
                 tmp_path / "threaded" / name
             ).read_bytes()
+        assert (tmp_path / "serial.llbc").read_bytes() == (
+            tmp_path / "threaded.llbc"
+        ).read_bytes()
 
 
     @pytest.mark.parametrize(
@@ -637,6 +640,7 @@ class TestGoldenArtifacts:
             "summary.json": "1c34cdcd5dd99dc1d04406d7f06e8004c6e0f6035917e8a5f53a3713815ed6e2",
         },
     }
+    GENERATED_LLBC = "24915f0d24ecb6b750fcb841a95b868b60b104fda0ac9465c555e80904c81daf"
     EVAL_MODEL = {
         "curve.csv": "bb55e54c6ec52dc4966376d5f7f4ef3326cb00a1435ff4efa919d2ee715df05e",
         "prediction_4.json": "6ee2fb2911ce812be43dc99481214a363d2805cd6e857a253548dde70f0cec4a",
@@ -676,10 +680,12 @@ class TestGoldenArtifacts:
             ["simulate", "--models", "20", "--holdout", "5", "--samples", "600",
              "--tau", "0.2", "--noise", "0.05", "--seed", "11",
              "--budgets", "8,16,32,64,128", "--strategy", strategy,
-             "--out", str(out_dir)]
+             "--out", str(out_dir), "--save-cache", str(tmp_path / "generated.llbc")]
         )
         assert rc == 0
         assert _digests(out_dir) == self.SIMULATE[strategy]
+        generated = (tmp_path / "generated.llbc").read_bytes()
+        assert hashlib.sha256(generated).hexdigest() == self.GENERATED_LLBC
 
     def test_eval_model_truth(self, small_setup):
         tmp_path, dense, cache_path, perm_path = small_setup

@@ -1,5 +1,7 @@
 """Synthetic cache generation and held-out oracle consistency."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lleval import (
     rank_correlation,
     sort_by_sum,
 )
-from lleval.synthgen import _sigmoid
+from lleval.synthgen import _correct_probability, _sigmoid
 
 
 class TestSynthSpec:
@@ -67,6 +69,18 @@ class TestGenerate:
         assert cache.confidence.max() <= 1.0
         # noise floor keeps probabilities away from the extremes
         assert cache.confidence.min() >= 0.1 - 1e-6
+
+    # n % 8 != 0 puts padding bits in every packed row
+    @pytest.mark.parametrize("m, n", [(13, 203), (0, 50), (6, 0)])
+    def test_thread_pool_map_matches_serial(self, m, n):
+        spec = SynthSpec(m, n, temperature=0.2, noise=0.05, seed=12)
+        want, ab_want, d_want = generate(spec, include_confidence=True)
+        with ThreadPoolExecutor(4) as pool:
+            got, ab_got, d_got = generate(spec, include_confidence=True, map=pool.map)
+        assert np.array_equal(got.bits, want.bits)
+        assert got.confidence.shape == (m, n)
+        assert np.array_equal(got.confidence.view(np.uint32), want.confidence.view(np.uint32))
+        assert np.array_equal(ab_got, ab_want) and np.array_equal(d_got, d_want)
 
     def test_cache_invariants_hold(self):
         spec = SynthSpec(7, 29, seed=11)
@@ -132,6 +146,30 @@ def two_branch_sigmoid(x):
     return out
 
 
+def reference_correct_probability(spec, ability, difficulties):
+    """The allocating expression the in-place one must match bit for bit."""
+    x = (ability - difficulties) / spec.temperature
+    e = np.exp(-np.abs(x))
+    clean = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return (1.0 - spec.noise) * clean + 0.5 * spec.noise
+
+
+class TestCorrectProbability:
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("temperature", [0.01, 0.2])
+    def test_bit_identical_to_allocating_form(self, noise, temperature):
+        spec = SynthSpec(1, 1, temperature=temperature, noise=noise)
+        difficulties = np.concatenate(
+            [[0.0, 0.5, 1.0], np.random.default_rng(61).random(10_000)]
+        )
+        # 0.0 - 0.0 is +0.0 and -0.0 - 0.0 is -0.0; at +-1e6 / 0.01 exp
+        # underflows to 0
+        for ability in (0.0, -0.0, 0.5, 1e6, -1e6, 0.3125):
+            want = reference_correct_probability(spec, ability, difficulties)
+            got = _correct_probability(spec, ability, difficulties)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestSigmoid:
     def test_bit_identical_to_two_branch_form(self):
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0,
@@ -140,7 +178,9 @@ class TestSigmoid:
         draws = np.concatenate([rng.normal(0, 10, 50_000), rng.normal(0, 300, 5_000)])
         for x in (special, draws):
             want = two_branch_sigmoid(x)
+            given = x.copy()
             got = _sigmoid(x)
+            assert np.array_equal(x, given, equal_nan=True)  # works on its own copy
             assert np.array_equal(got, want, equal_nan=True)
             # same bits wherever a number comes out (a NaN's sign may differ)
             number = ~np.isnan(want)
