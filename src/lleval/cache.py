@@ -40,8 +40,13 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 # packed bytes popcounted at once by ``row_sums``: bounds that scratch
 _POPCOUNT_CHUNK_BYTES = 1 << 22
-# packed bytes per ``column_sums`` tile: its 512 KB counter and row stay in L2
+# packed bytes per ``column_sums`` tile: its bit planes and carries stay in L2
 _TILE_BYTES = 1 << 16
+# plane bytes ``column_sums`` unpacks at once, and the widest rows it lays
+# side by side: 120 KiB unpacked stays under glibc's default 128 KiB mmap
+# threshold, so each unpacked plane reuses heap memory instead of faulting
+# in fresh pages
+_SLICE_BYTES = 15 << 10
 _WRITE_CHUNK = 1 << 16  # totals converted to f8 at once by ``save_sums``
 
 
@@ -115,6 +120,74 @@ def best_prefix(outcomes: np.ndarray) -> int:
     if score[j] <= 0:
         return 0
     return 8 * j + int(_BYTE_PEAK_BIT[packed[j]]) + 1
+
+
+def _csa(
+    acc: np.ndarray, x: np.ndarray, y: np.ndarray, carry: np.ndarray, tmp: np.ndarray
+) -> None:
+    """Carry-save add of packed bits: acc + x + y = acc' + 2 * carry.
+
+    Five in-place passes; ``carry`` may be ``x``, never ``acc``, ``y`` or ``tmp``.
+    """
+    np.bitwise_xor(acc, x, out=tmp)
+    np.bitwise_and(acc, x, out=carry)
+    np.bitwise_xor(tmp, y, out=acc)
+    np.bitwise_and(tmp, y, out=tmp)
+    np.bitwise_or(carry, tmp, out=carry)
+
+
+def _add_tree(
+    planes: np.ndarray, rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Add 2**d rows (d >= 1) into ``planes[:d]``; their weight-2**d carry
+    goes to ``out``.  Uses ``scratch[:d]``."""
+    d = len(rows).bit_length() - 1
+    if d == 1:
+        x, y = rows
+    else:
+        half = len(rows) // 2
+        _add_tree(planes, rows[:half], out, scratch)
+        _add_tree(planes, rows[half:], scratch[d - 1], scratch)
+        x, y = out, scratch[d - 1]
+    _csa(planes[d - 1], x, y, out, scratch[0])
+
+
+def _ripple(planes: np.ndarray, carry: np.ndarray, spares: tuple) -> None:
+    """Add the packed row ``carry`` into the counter whose bit planes are
+    ``planes``.  The carry moves through the two ``spares`` in turn, so the
+    row itself is only read; the top plane takes no carry out, as the
+    count fits."""
+    for i, plane in enumerate(planes[:-1]):
+        spare = spares[i % 2]
+        np.bitwise_and(plane, carry, out=spare)
+        np.bitwise_xor(plane, carry, out=plane)
+        carry = spare
+    np.bitwise_xor(planes[-1], carry, out=planes[-1])
+
+
+def _add_rows(
+    planes: np.ndarray, rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """Add packed ``rows`` into zeroed bit planes, one carry-save tree per
+    binary digit of their number, so a remainder never ripples row by row.
+
+    Module-level functions, not closures: a recursive closure is a reference
+    cycle that would keep the mapped cache alive until the next collection.
+    """
+    first = 0
+    for d in reversed(range(len(planes))):
+        if len(rows) >> d & 1:
+            group = rows[first : first + (1 << d)]
+            first += 1 << d
+            if d:
+                _add_tree(planes, group, out, scratch)
+            carry = out if d else group[0]
+            _ripple(planes[d:], carry, (scratch[0], out))
+
+
+def _unpacked_lanes(plane: np.ndarray) -> np.ndarray:
+    """A plane's bits as 0/1 bytes, viewed as uint64 lanes of 8 columns."""
+    return np.unpackbits(plane, axis=-1, bitorder="little").view(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,20 +350,56 @@ class AccuracyCache:
     def column_sums(self) -> np.ndarray:
         """Per-column popcounts.
 
-        Per tile of ``_TILE_BYTES`` packed columns, adds unpacked rows into a
-        uint8 counter, flushed into the result every 255 rows so it cannot
-        wrap; the length-n result is the only large array.
+        Bit-sliced: per tile of ``_TILE_BYTES`` packed columns, the counts
+        live in packed bit planes, one per bit of the row count, and rows
+        are added as packed bytes by carry-save adder trees (``_add_rows``),
+        never unpacked.  Each plane is unpacked once per tile,
+        ``_SLICE_BYTES`` at a time.  Rows shorter than ``_SLICE_BYTES`` are
+        first laid k side by side (k the largest divisor of m that fits), so
+        each bitwise pass covers more bytes; the k partial counts are summed
+        when unpacked.  The length-n result is the only large array.
         """
         m, n = self.num_models, self.num_samples
-        sums = np.zeros(n, dtype=np.int32 if m <= _INT32_MAX else np.int64)
-        for lo in range(0, n, 8 * _TILE_BYTES):
-            tile = self.bits[:, lo // 8 : lo // 8 + _TILE_BYTES]
-            width = min(8 * _TILE_BYTES, n - lo)
-            for first in range(0, m, 255):
-                count = np.zeros(width, dtype=np.uint8)
-                for row in tile[first : first + 255]:
-                    count += np.unpackbits(row, count=width, bitorder="little")
-                sums[lo : lo + width] += count
+        dtype = np.int32 if m <= _INT32_MAX else np.int64
+        sums = np.zeros(n, dtype=dtype)
+        if m == 0 or n == 0:
+            return sums
+        rb = _row_bytes(n)
+        k = max(1, min(m, _SLICE_BYTES // rb))
+        while m % k:
+            k -= 1
+        rows = self.bits.reshape(m // k, k * rb)  # contiguous: a view
+        depth = (m // k).bit_length()
+        fold_dtype = np.min_scalar_type(m)
+        # planes, then the carry and the tree's scratch
+        stack = np.empty((2 * depth + 1, min(rows.shape[1], _TILE_BYTES)), np.uint8)
+        for lo in range(0, rb, _TILE_BYTES):
+            tile = rows[:, lo : lo + _TILE_BYTES]
+            bufs = stack[:, : tile.shape[1]]
+            planes = bufs[:depth]
+            planes.fill(0)
+            _add_rows(planes, tile, bufs[depth], bufs[depth + 1 :])
+            for s in range(0, tile.shape[1], _SLICE_BYTES):
+                block = planes[:, s : s + _SLICE_BYTES].reshape(depth, k, -1)
+                c0 = 8 * (lo + s)
+                c1 = min(n, c0 + 8 * block.shape[-1])
+                out = sums[c0:c1]
+                for g in reversed(range(0, depth, 8)):
+                    # Horner's rule over eight planes at a time on 0/1 bytes,
+                    # eight per uint64 lane, so doubling never carries from
+                    # one column into the next
+                    group = block[g : g + 8]
+                    count = _unpacked_lanes(group[-1])
+                    for plane in group[-2::-1]:
+                        count += count
+                        count |= _unpacked_lanes(plane)
+                    count = count.view(np.uint8)[:, : c1 - c0]
+                    count = count[0] if k == 1 else np.add.reduce(count, dtype=fold_dtype)
+                    if g + 8 < depth:  # and over the groups, in place
+                        out <<= 8
+                        out += count
+                    else:
+                        out[...] = count
         return sums
 
     def row_sums(self) -> np.ndarray:
@@ -435,8 +544,14 @@ class SortResult:
 @contextlib.contextmanager
 def _replacing_writer(path: str | Path):
     """Handle on a temporary file that replaces ``path`` only on success, so
-    a failed write keeps the old file and mapped readers never see it shrink."""
+    a failed write keeps the old file and mapped readers never see it shrink.
+
+    Creates the missing parent directories of ``path`` first, so a parent
+    that is not a directory fails there, naming it, and not at the hidden
+    temporary file.
+    """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:

@@ -144,7 +144,7 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     else:
         oracle = _command_oracle(args.oracle_cmd)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # fail before any oracle query
 
     reports = []
     for budget in budgets:
@@ -284,7 +284,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         per_model = list(pool.map(work, range(args.holdout)))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     medians = []
     for bi, budget in enumerate(budgets):
         reports = [res[0][bi] for res in per_model]

@@ -38,8 +38,14 @@ def _tied_runs(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _ranked(totals: np.ndarray, method: SortMethod) -> SortResult:
+    """Rank by ``totals``, which it sorts in place: the values in rank order
+    are the descending sort of the totals, so no ``totals[order]`` gather
+    (a third length-n array) is needed."""
     order = _descending_stable_argsort(totals)
-    return SortResult(Permutation(order), totals[order], method)
+    np.negative(totals, out=totals)
+    totals.sort()
+    np.negative(totals, out=totals)
+    return SortResult(Permutation(order), totals, method)
 
 
 def sort_by_sum(cache: AccuracyCache) -> SortResult:

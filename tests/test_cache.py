@@ -1,9 +1,11 @@
 """Cache construction, persistence round-trips, and format error reporting."""
 
 import csv
+import gc
 import json
 import re
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from lleval import (
     write_error_curve,
 )
 import lleval
-from lleval.cache import _TILE_BYTES, _write_blocks, _write_rows
+from lleval.cache import _SLICE_BYTES, _TILE_BYTES, _write_blocks, _write_rows
 from lleval.cli import _write_json
 
 
@@ -474,6 +476,52 @@ class TestColumnSums:
         # the int32 result, then a tile's counter and unpacked row
         assert peak - before <= 4 * n + (2 << 20)
         assert np.array_equal(sums, column_sums_ref(cache.bits, n))
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (m, n)
+            for m in (15, 16, 17, 31, 32, 33, 1023, 1024, 1025)
+            for n in (1003, 8 * _SLICE_BYTES - 3, 8 * _SLICE_BYTES + 3)
+        ]
+        + [(m, 8 * _TILE_BYTES + 5) for m in (15, 16, 17, 31, 32, 33)],
+    )
+    def test_carry_save_groups_match_bit_planes(self, m, n):
+        # rows of 1003 columns are laid side by side, the wider ones are not
+        cache = packed_cache(m, n, seed=m + 3 * n)
+        assert np.array_equal(cache.column_sums(), column_sums_ref(cache.bits, n))
+
+    @pytest.mark.parametrize("m", [3, 4, 15, 16, 1023, 1024])
+    @pytest.mark.parametrize("n", [1003, 8 * _SLICE_BYTES + 3])
+    def test_all_ones_carry_into_the_top_plane(self, m, n):
+        sums = packed_cache(m, n).column_sums()
+        assert sums.dtype == np.int32
+        assert np.array_equal(sums, np.full(n, m))
+
+    def test_mapped_rows_off_eight_byte_alignment(self, tmp_path):
+        n = 1_699_995  # 212,500-byte rows, as at the paper's 1.7M samples
+        cache = packed_cache(33, n, seed=20)
+        save_cache(cache, tmp_path / "cache.llbc")
+        mapped = load_cache(tmp_path / "cache.llbc")
+        assert mapped.bits.strides[0] % 8 == 4
+        assert mapped.bits[1].ctypes.data % 8 != 0
+        assert np.array_equal(mapped.column_sums(), column_sums_ref(cache.bits, n))
+
+    def test_mapped_bits_freed_without_the_collector(self, tmp_path):
+        save_cache(packed_cache(40, 8 * _TILE_BYTES + 5, seed=21), tmp_path / "c.llbc")
+        gc.disable()
+        try:
+            cache = load_cache(tmp_path / "c.llbc")
+            mapped = cache.bits
+            while isinstance(mapped, np.ndarray):  # views, the memmap, then the map
+                mapped = mapped.base
+            mapped = weakref.ref(mapped)
+            cache.column_sums()
+            del cache
+            # a reference cycle through the kernel would keep the map alive
+            assert mapped() is None
+        finally:
+            gc.enable()
 
     def test_row_sums_match_dense(self):
         rng = np.random.default_rng(4)

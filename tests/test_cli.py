@@ -614,6 +614,60 @@ class TestMetricsCommand:
         assert "magic" in capsys.readouterr().err
 
 
+class TestOutputDirectories:
+    """Every writer creates its target's missing parent directories."""
+
+    def test_writers_create_missing_directories(self, small_setup, capsys):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        fresh = tmp_path / "fresh"
+        outcomes_path = tmp_path / "col.csv"
+        write_vector(outcomes_path, np.ones(12, dtype=bool))
+        truth_path = tmp_path / "truth.csv"
+        write_vector(truth_path, np.ones(60, dtype=bool))
+        eval_dir = tmp_path / "eval"
+        runs = [
+            ["sort", "--cache", str(cache_path), "--out", str(fresh / "a" / "s.llpm")],
+            ["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
+             "--budgets", "8,16", "--out", str(fresh / "b" / "sim"),
+             "--save-cache", str(fresh / "c" / "gen.llbc")],
+            ["insert-sample", "--cache", str(cache_path), "--outcomes",
+             str(outcomes_path), "--budget", "12",
+             "--report", str(fresh / "d" / "rank.json"),
+             "--append-out", str(fresh / "e" / "grown.llbc")],
+            ["eval-model", "--perm", str(perm_path), "--truth", str(truth_path),
+             "--budgets", "16", "--out", str(eval_dir)],
+            ["metrics", "--truth", str(truth_path),
+             "--pred", str(eval_dir / "prediction_16.json"),
+             "--perm", str(perm_path), "--out", str(fresh / "f" / "m.json")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        written = ["a/s.llpm", "a/s.llsm", "b/sim/summary.json", "c/gen.llbc",
+                   "d/rank.json", "e/grown.llbc", "f/m.json"]
+        for name in written:
+            assert (fresh / name).is_file(), name
+        assert not list(fresh.rglob(".*.tmp"))
+
+    @pytest.mark.parametrize("command", ["sort", "simulate"])
+    def test_parent_that_is_a_file_is_one_error_line(self, small_setup, capsys, command):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        target = blocker / "out.llbc"
+        if command == "sort":
+            argv = ["sort", "--cache", str(cache_path), "--out", str(target)]
+        else:
+            argv = ["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
+                    "--budgets", "8,16", "--out", str(tmp_path / "sim"),
+                    "--save-cache", str(target)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "blocker" in err and ".tmp" not in err
+        assert blocker.read_text() == "not a directory"
+
+
 def _digests(out_dir):
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()

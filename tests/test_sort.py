@@ -22,7 +22,7 @@ from lleval import (
     stable_append,
     threshold_all_rows,
 )
-from lleval.cache import _POPCOUNT_CHUNK_BYTES
+from lleval.cache import _POPCOUNT_CHUNK_BYTES, _TILE_BYTES
 from lleval.sort import _descending_stable_argsort, _tied_runs
 
 
@@ -63,6 +63,24 @@ class TestSortBySum:
             assert np.array_equal(
                 result.permutation.apply(cache.column_sums()), result.sums
             )
+
+    def test_peak_is_order_totals_and_keys(self):
+        import tracemalloc
+
+        m, n = 6, 4 * 8 * _TILE_BYTES + 3
+        rng = np.random.default_rng(25)
+        bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
+        bits[:, -1] &= (1 << n % 8) - 1
+        cache = AccuracyCache(m, n, bits)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = sort_by_sum(cache)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.all(np.diff(result.sums) <= 0)
+        # int64 order, int32 totals and uint16 keys; no totals[order] copy
+        assert peak - before <= 14 * n + (1 << 20)
 
 
 class TestSortModelsBySum:
