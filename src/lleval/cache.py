@@ -97,8 +97,29 @@ def _outcomes(
     return row
 
 
+def pack_outcomes(outcomes: np.ndarray) -> np.ndarray:
+    """A bool row as n/8 bytes, bit j at bit j % 8 of byte j // 8; padding zero."""
+    return np.packbits(outcomes, bitorder="little")
+
+
+def prefix_ones(packed: np.ndarray, k: int) -> int:
+    """Ones among the first k bits of a ``pack_outcomes`` row.
+
+    Popcounts whole 64-bit lanes, then the at most 8 bytes left as one int.
+    """
+    lanes = k // 64
+    ones = int(np.bitwise_count(packed[: 8 * lanes].view(np.uint64)).sum())
+    tail = int.from_bytes(packed[8 * lanes : (k + 7) // 8].tobytes(), "little")
+    return ones + (tail & ((1 << (k % 64)) - 1)).bit_count()
+
+
 def best_prefix(outcomes: np.ndarray) -> int:
-    """Length of the prefix maximizing (ones - zeros); 0 unless that is positive.
+    """Length of the prefix maximizing (ones - zeros); 0 unless that is positive."""
+    return best_packed_prefix(pack_outcomes(outcomes))
+
+
+def best_packed_prefix(packed: np.ndarray) -> int:
+    """``best_prefix`` of a ``pack_outcomes`` row, whose padding bits are zero.
 
     Scans n/8 packed bytes instead of n outcomes: the score after each byte
     is a cumsum of its net (2 * popcount - 8), and the best score inside a
@@ -106,7 +127,6 @@ def best_prefix(outcomes: np.ndarray) -> int:
     best byte and ``_BYTE_PEAK_BIT`` the first peak inside it, so ties go to
     the shortest prefix.  Padding bits are -1 steps and never hold a peak.
     """
-    packed = np.packbits(outcomes, bitorder="little")
     if packed.size == 0:
         return 0
     fall = _BYTE_FALL.take(packed)

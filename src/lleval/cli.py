@@ -263,6 +263,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             **{name: value for name, value in options.items() if value is not None},
         )
     models = spec.num_models - args.holdout
+    # the writers' rule for a target's parent, applied before any work
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.save_cache:
+        Path(args.save_cache).parent.mkdir(parents=True, exist_ok=True)
     # rows, then held-out models; the pool starts a worker only when a task
     # finds none idle, so LLEVAL_THREADS past the work starts no extra thread
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -283,7 +288,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         per_model = list(pool.map(work, range(args.holdout)))
 
-    out_dir = Path(args.out)
     medians = []
     for bi, budget in enumerate(budgets):
         reports = [res[0][bi] for res in per_model]

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .cache import Permutation, ThresholdVector, _outcomes, _write_rows
-from .search import dp_search
+from .cache import (
+    Permutation,
+    ThresholdVector,
+    _outcomes,
+    _write_rows,
+    best_packed_prefix,
+    pack_outcomes,
+    prefix_ones,
+)
 
 CURVE_FIELDS = ("budget", "mae", "agg_error", "aleatoric", "epistemic")
 
@@ -51,30 +59,33 @@ class ErrorReport:
 class RankedTruth:
     """One outcome row in rank order, scored against step vectors [1]*k + [0]*rest.
 
-    Built once per (truth, permutation) and then scored at any number of
-    cuts; the best cut is searched only when a report first needs it.
+    Holds the ranked row as n/8 packed bytes (``cache.pack_outcomes``), built
+    once per (truth, permutation) and then scored at any number of cuts: a
+    mismatch count is a popcount of the first k bits, and the best cut is
+    searched over the packed bytes only when a report first needs it.
     """
 
     def __init__(self, truth: np.ndarray, perm: Permutation) -> None:
-        self.ranked = truth[perm.order]
-        self.ones = int(np.count_nonzero(self.ranked))
+        self.size = truth.size
+        self.packed = pack_outcomes(truth[perm.order])
+        self.ones = prefix_ones(self.packed, self.size)
         self._best_k: int | None = None
 
     @property
     def best_k(self) -> int:
         # not functools.cached_property: before 3.12 it locks across instances
         if self._best_k is None:
-            self._best_k = dp_search(self.ranked).k
+            self._best_k = best_packed_prefix(self.packed)
         return self._best_k
 
     def mismatches(self, k: int) -> int:
         """Zeros among the first k ranks plus ones among the rest."""
-        before = int(np.count_nonzero(self.ranked[:k]))
+        before = prefix_ones(self.packed, k)
         return (k - before) + (self.ones - before)
 
     def report(self, k: int, budget: int) -> ErrorReport:
         """Error components of the cut k, see ``error_decomposition``."""
-        n = self.ranked.size
+        n = self.size
         if n == 0:
             return ErrorReport(0.0, 0.0, 0.0, 0.0, budget)
         best = self.best_k
@@ -87,6 +98,33 @@ class RankedTruth:
         )
 
 
+# (weak reference to a Permutation, a truth row packed in original order,
+# its RankedTruth): the last row ``_ranked_truth`` ranked, swapped as one
+# tuple so that threads racing on it cost at most a miss
+_last_ranked: tuple | None = None
+
+
+def _ranked_truth(truth: np.ndarray, perm: Permutation) -> RankedTruth:
+    """``RankedTruth(truth, perm)``, reused while the same row and ranking recur.
+
+    A call hits only when ``perm`` is the very Permutation object of the last
+    call and ``truth``'s bits equal that call's, compared in full; a hit
+    costs one packing of the row and one compare instead of a gather.  It
+    relies on a Permutation not changing after it is built, as ``SortResult``
+    and ``AccuracyCache`` also do.  The memo holds n/4 bytes and only a weak
+    reference, so it never keeps a Permutation alive, and a new one that
+    reuses a dead one's ``id`` cannot hit.
+    """
+    global _last_ranked
+    key = pack_outcomes(truth)
+    last = _last_ranked
+    if last is not None and last[0]() is perm and np.array_equal(last[1], key):
+        return last[2]
+    ranked = RankedTruth(truth, perm)
+    _last_ranked = (weakref.ref(perm), key, ranked)
+    return ranked
+
+
 def mae(truth: np.ndarray, pred: ThresholdVector, perm: Permutation) -> float:
     """Fraction of positions where the ranked truth disagrees with the step."""
     truth = _outcomes(truth, pred.length, "truth")
@@ -94,7 +132,7 @@ def mae(truth: np.ndarray, pred: ThresholdVector, perm: Permutation) -> float:
         raise ValueError("permutation length does not match truth")
     if truth.size == 0:
         return 0.0
-    return RankedTruth(truth, perm).mismatches(pred.k) / truth.size
+    return _ranked_truth(truth, perm).mismatches(pred.k) / truth.size
 
 
 def agg_error(truth: np.ndarray, pred: ThresholdVector) -> float:
@@ -141,12 +179,13 @@ def error_decomposition(
 
     The floor (aleatoric) is the best any threshold could do on the ranked
     truth; the gap (epistemic) is how far the budgeted cut k landed from
-    that optimum, |k* - k| / n.
+    that optimum, |k* - k| / n.  Calls for one row under one Permutation,
+    one per budget, gather and rank the row once (``_ranked_truth``).
     """
     truth = _outcomes(truth, pred.length, "truth")
     if len(perm) != truth.size:
         raise ValueError("permutation length does not match truth")
-    return RankedTruth(truth, perm).report(pred.k, budget)
+    return _ranked_truth(truth, perm).report(pred.k, budget)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

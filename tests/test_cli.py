@@ -649,23 +649,39 @@ class TestOutputDirectories:
         assert not list(fresh.rglob(".*.tmp"))
 
     @pytest.mark.parametrize("command", ["sort", "simulate"])
-    def test_parent_that_is_a_file_is_one_error_line(self, small_setup, capsys, command):
+    def test_parent_that_is_a_file_is_one_error_line(
+        self, small_setup, capsys, monkeypatch, command
+    ):
+        import lleval.synthgen
+
         tmp_path, dense, cache_path, perm_path = small_setup
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         target = blocker / "out.llbc"
         if command == "sort":
-            argv = ["sort", "--cache", str(cache_path), "--out", str(target)]
-        else:
-            argv = ["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
-                    "--budgets", "8,16", "--out", str(tmp_path / "sim"),
-                    "--save-cache", str(target)]
-        capsys.readouterr()
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "blocker" in err and ".tmp" not in err
-        assert blocker.read_text() == "not a directory"
+            runs = [["sort", "--cache", str(cache_path), "--out", str(target)]]
+        else:  # each bad target is found before the cache is generated
+            generated = []
+            monkeypatch.setattr(
+                lleval.synthgen, "generate", lambda *a, **k: generated.append(a)
+            )
+            sim = ["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
+                   "--budgets", "8,16"]
+            runs = [
+                sim + ["--out", str(tmp_path / "sim"), "--save-cache", str(target)],
+                sim + ["--out", str(blocker / "sim"),
+                       "--save-cache", str(tmp_path / "gen.llbc")],
+            ]
+        for argv in runs:
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "blocker" in err and ".tmp" not in err
+            assert blocker.read_text() == "not a directory"
+        if command == "simulate":
+            assert generated == []
+            assert not (tmp_path / "gen.llbc").exists()
 
 
 def _digests(out_dir):

@@ -1,5 +1,11 @@
 """Error metrics, the aggregate-metric worst case, decomposition, and fits."""
 
+import gc
+import sys
+import threading
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,6 +21,7 @@ from lleval import (
     error_decomposition,
     fit_exp_decay,
     mae,
+    metrics,
     rank_correlation,
 )
 
@@ -151,6 +158,175 @@ class TestErrorDecomposition:
     def test_report_bounds_validated(self):
         with pytest.raises(ValueError):
             ErrorReport(1.5, 0.0, 0.0, 0.0, 1)
+
+
+def fresh_report(truth, order, k, budget=0):
+    """The report built afresh: every cut's error counted from prefix sums."""
+    ranked = np.asarray(truth, dtype=bool)[np.asarray(order, dtype=np.int64)]
+    n = ranked.size
+    if n == 0:
+        return ErrorReport(0.0, 0.0, 0.0, 0.0, budget)
+    ones_before = np.concatenate(([0], np.cumsum(ranked, dtype=np.int64)))
+    errors = (np.arange(n + 1) - ones_before) + (ones_before[-1] - ones_before)
+    best = int(np.argmin(errors))  # the smallest cut on ties
+    return ErrorReport(
+        mae=int(errors[k]) / n,
+        agg_error=abs(k - int(ones_before[-1])) / n,
+        aleatoric=int(errors[best]) / n,
+        epistemic=abs(best - k) / n,
+        budget=budget,
+    )
+
+
+def check_both(truth, perm, k, budget=0):
+    """error_decomposition and mae of one cut, each against fresh_report."""
+    want = fresh_report(truth, perm.order, k, budget)
+    pred = ThresholdVector(len(perm), k)
+    assert error_decomposition(truth, pred, perm, budget) == want
+    assert mae(truth, pred, perm) == want.mae
+
+
+class TestRankedTruthReuse:
+    """error_decomposition and mae reuse the last row ranked under the same
+    Permutation object; every answer must equal a report built afresh."""
+
+    def test_random_rows_permutations_and_cuts(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(0, 41))
+            truth = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            order = draw(st.permutations(range(n)))
+            ks = draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+            return truth, order, ks, draw(st.booleans())
+
+        @settings(max_examples=300, deadline=None)
+        @given(cases())
+        @example(([], [], [0], False))
+        @example(([True], [0], [0, 1], True))
+        @example(([False, True] * 6 + [True], list(range(13))[::-1], [0, 5, 13], False))
+        def check(case):
+            truth, order, ks, same_order_twice = case
+            truth = np.array(truth, dtype=bool)
+            perm = Permutation(np.array(order, dtype=np.int64))
+            for k in ks:
+                check_both(truth, perm, k, budget=k)
+            if same_order_twice:  # an equal order in a new object
+                check_both(truth, Permutation(np.array(order, dtype=np.int64)), ks[0])
+
+        check()
+
+    def test_truth_mutated_in_place_between_calls(self):
+        rng = np.random.default_rng(80)
+        n = 1_003  # n % 8 == 3: the last packed byte is partly padding
+        truth = rng.random(n) < 0.5
+        perm = Permutation(rng.permutation(n))
+        for j in [n - 1, 0, 500, n - 1, 7, 8] + rng.integers(0, n, 20).tolist():
+            check_both(truth, perm, int(rng.integers(0, n + 1)))
+            truth[j] = not truth[j]  # the same array, one bit changed
+            check_both(truth, perm, int(rng.integers(0, n + 1)))
+        truth[:] = False
+        check_both(truth, perm, 0)
+        truth[:] = True
+        check_both(truth, perm, n)
+
+    def test_equal_order_in_a_new_permutation(self):
+        rng = np.random.default_rng(81)
+        n = 205
+        truth = rng.random(n) < 0.4
+        order = rng.permutation(n)
+        first, second = Permutation(order), Permutation(order.copy())
+        for perm in (first, second, first):
+            check_both(truth, perm, int(rng.integers(0, n + 1)))
+            assert metrics._last_ranked[0]() is perm  # keyed by the object
+
+    def test_replaced_permutation_that_may_reuse_an_id(self):
+        rng = np.random.default_rng(82)
+        n = 99
+        truth = rng.random(n) < 0.5
+        perm = Permutation(rng.permutation(n))
+        for _ in range(20):
+            check_both(truth, perm, int(rng.integers(0, n + 1)))
+            del perm
+            gc.collect()
+            perm = Permutation(rng.permutation(n))  # often at the freed id
+            check_both(truth, perm, int(rng.integers(0, n + 1)))
+
+    def test_mae_and_decomposition_in_turn(self):
+        rng = np.random.default_rng(83)
+        n = 77
+        rows = [rng.random(n) < p for p in (0.2, 0.5, 0.8)]
+        perms = [Permutation(rng.permutation(n)) for _ in range(2)]
+        for _ in range(60):
+            truth = rows[int(rng.integers(0, 3))]
+            perm = perms[int(rng.integers(0, 2))]
+            k = int(rng.integers(0, n + 1))
+            want = fresh_report(truth, perm.order, k)
+            pred = ThresholdVector(n, k)
+            if rng.random() < 0.5:
+                assert mae(truth, pred, perm) == want.mae
+            else:
+                assert error_decomposition(truth, pred, perm) == want
+
+    def test_keeps_no_permutation_alive_and_n_over_4_bytes(self):
+        rng = np.random.default_rng(84)
+        n = 1_000_003
+        truth = rng.random(n) < 0.5
+        perm = Permutation(rng.permutation(n))
+        # leave only a one-sample row in the memo, so the measured call
+        # frees nothing the memo held before
+        tiny = Permutation(np.zeros(1, dtype=np.int64))
+        error_decomposition(np.ones(1, dtype=bool), ThresholdVector(1, 1), tiny)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = error_decomposition(truth, ThresholdVector(n, n // 3), perm)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report == fresh_report(truth, perm.order, n // 3)
+        assert retained <= n / 4 + (64 << 10), retained
+        ref = weakref.ref(perm)
+        del perm
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_with_one_row_each(self):
+        rng = np.random.default_rng(85)
+        n, workers = 20_003, 4
+        perm = Permutation(rng.permutation(n))
+        rows = [rng.random(n) < p for p in np.linspace(0.2, 0.8, workers)]
+        ks = rng.integers(0, n + 1, 13).tolist()
+        expected = [[fresh_report(row, perm.order, k, b) for b, k in enumerate(ks)]
+                    for row in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                start = threading.Barrier(workers)
+                answers = [None] * workers
+
+                def work(t):
+                    start.wait(timeout=30)
+                    answers[t] = [
+                        error_decomposition(rows[t], ThresholdVector(n, k), perm, b)
+                        for b, k in enumerate(ks)
+                    ]
+
+                threads = [
+                    threading.Thread(target=work, args=(t,)) for t in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert answers == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRankCorrelation:
