@@ -113,13 +113,8 @@ def prefix_ones(packed: np.ndarray, k: int) -> int:
     return ones + (tail & ((1 << (k % 64)) - 1)).bit_count()
 
 
-def best_prefix(outcomes: np.ndarray) -> int:
-    """Length of the prefix maximizing (ones - zeros); 0 unless that is positive."""
-    return best_packed_prefix(pack_outcomes(outcomes))
-
-
 def best_packed_prefix(packed: np.ndarray) -> int:
-    """``best_prefix`` of a ``pack_outcomes`` row, whose padding bits are zero.
+    """Length of the prefix maximizing (ones - zeros); 0 unless that is positive.
 
     Scans n/8 packed bytes instead of n outcomes: the score after each byte
     is a cumsum of its net (2 * popcount - 8), and the best score inside a

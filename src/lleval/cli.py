@@ -21,7 +21,6 @@ import numpy as np
 
 from .baseline import copy_nearest_expand_from_truth
 from .cache import (
-    AccuracyCache,
     SortMethod,
     SortResult,
     _read_json,
@@ -37,7 +36,9 @@ from .cache import (
     save_sums,
 )
 from .metrics import (
+    CURVE_FIELDS,
     ErrorReport,
+    ExpDecayFit,
     RankedTruth,
     error_decomposition,
     fit_exp_decay,
@@ -96,6 +97,13 @@ def _load_sort_result(perm_path: str | Path) -> SortResult:
     perm = load_permutation(perm_path)
     sums = load_sums(_sums_path(perm_path))
     return SortResult(perm, sums, SortMethod.SUM)
+
+
+def _make_parents(*paths: str | Path | None) -> None:
+    """The writers' rule for a target's parent, applied before any work: made
+    if missing, one error naming it if it is a regular file."""
+    for path in filter(None, paths):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -168,6 +176,7 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         raise ValueError("cache has no models to rank")
     model_sort = sort_models_by_sum(cache)
     strategy = SamplingStrategy(args.strategy)
+    _make_parents(args.report, args.append_out)
     budget = args.budget
     if args.outcomes is not None:
         outcomes = _read_outcomes(args.outcomes, cache.num_models, "outcomes")
@@ -194,29 +203,6 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         confidence = None if cache.confidence is None else column.astype(np.float32)
         save_cache(cache.append_column(column, confidence), args.append_out)
     return 0
-
-
-def _simulate_model(
-    sort_result: SortResult,
-    sort_cache: AccuracyCache,
-    truth: np.ndarray,
-    budgets: list[int],
-    strategy: SamplingStrategy,
-    seed: int,
-    model_index: int,
-    run_baseline: bool,
-) -> tuple[list[ErrorReport], list[float]]:
-    scorer = RankedTruth(truth, sort_result.permutation)
-    reports = []
-    baseline_maes = []
-    for budget in budgets:
-        derived = _derived_seed(seed, model_index, budget)
-        pred, _ = evaluate_from_truth(sort_result, truth, budget, strategy, derived)
-        reports.append(scorer.report(pred.k, budget))
-        if run_baseline:
-            guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, derived)
-            baseline_maes.append(np.count_nonzero(guess != truth) / truth.size)
-    return reports, baseline_maes
 
 
 def _thread_count() -> int:
@@ -263,11 +249,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             **{name: value for name, value in options.items() if value is not None},
         )
     models = spec.num_models - args.holdout
-    # the writers' rule for a target's parent, applied before any work
+    budgets = _parse_budgets(args.budgets, spec.num_samples)
+    strategy = SamplingStrategy(args.strategy)
+    run_baseline = not args.skip_baseline
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.save_cache:
-        Path(args.save_cache).parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(out_dir / "curve.csv", args.save_cache)
     # rows, then held-out models; the pool starts a worker only when a task
     # finds none idle, so LLEVAL_THREADS past the work starts no extra thread
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -276,30 +262,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             save_cache(cache_full, args.save_cache)
         sort_cache = cache_full.first_models(models)
         sort_result = sort_by_sum(sort_cache)
-        budgets = _parse_budgets(args.budgets, spec.num_samples)
-        strategy = SamplingStrategy(args.strategy)
-        run_baseline = not args.skip_baseline
 
         def work(h: int) -> tuple[list[ErrorReport], list[float]]:
             truth = cache_full.row(models + h)
-            return _simulate_model(
-                sort_result, sort_cache, truth, budgets, strategy, spec.seed, h, run_baseline
-            )
+            scorer = RankedTruth(truth, sort_result.permutation)
+            reports, baseline_maes = [], []
+            for budget in budgets:
+                seed = _derived_seed(spec.seed, h, budget)
+                pred, _ = evaluate_from_truth(sort_result, truth, budget, strategy, seed)
+                reports.append(scorer.report(pred.k, budget))
+                if run_baseline:
+                    guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, seed)
+                    baseline_maes.append(np.count_nonzero(guess != truth) / truth.size)
+            return reports, baseline_maes
 
         per_model = list(pool.map(work, range(args.holdout)))
 
     medians = []
     for bi, budget in enumerate(budgets):
         reports = [res[0][bi] for res in per_model]
-        medians.append(
-            ErrorReport(
-                mae=float(np.median([r.mae for r in reports])),
-                agg_error=float(np.median([r.agg_error for r in reports])),
-                aleatoric=float(np.median([r.aleatoric for r in reports])),
-                epistemic=float(np.median([r.epistemic for r in reports])),
-                budget=budget,
-            )
-        )
+        fields = CURVE_FIELDS[1:]  # all but the budget
+        values = {f: float(np.median([getattr(r, f) for r in reports])) for f in fields}
+        medians.append(ErrorReport(budget=budget, **values))
     write_error_curve(out_dir / "curve.csv", medians)
 
     baseline_rows = []
@@ -311,13 +295,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write_rows(out_dir / "baseline.csv", [("budget", "mae")] + rows)
 
     if len(budgets) >= 4:
-        fit = fit_exp_decay(
-            np.asarray(budgets, dtype=float),
-            np.asarray([m.mae for m in medians]),
-        )
-        fit_record = {"a": fit.a, "b": fit.b, "c": fit.c, "r2": fit.r2}
+        fit = fit_exp_decay(np.asarray(budgets, dtype=float), [m.mae for m in medians])
+        fit_record = fit._asdict()
     else:  # the decay fit needs four points
-        fit_record = {"a": None, "b": None, "c": None, "r2": None}
+        fit_record = dict.fromkeys(ExpDecayFit._fields)
     _write_json(out_dir / "fit.json", fit_record)
     summary = {
         "spec": spec.to_dict(),

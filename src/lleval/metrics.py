@@ -127,12 +127,7 @@ def _ranked_truth(truth: np.ndarray, perm: Permutation) -> RankedTruth:
 
 def mae(truth: np.ndarray, pred: ThresholdVector, perm: Permutation) -> float:
     """Fraction of positions where the ranked truth disagrees with the step."""
-    truth = _outcomes(truth, pred.length, "truth")
-    if len(perm) != truth.size:
-        raise ValueError("permutation length does not match truth")
-    if truth.size == 0:
-        return 0.0
-    return _ranked_truth(truth, perm).mismatches(pred.k) / truth.size
+    return error_decomposition(truth, pred, perm).mae
 
 
 def agg_error(truth: np.ndarray, pred: ThresholdVector) -> float:

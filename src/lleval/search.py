@@ -13,7 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import SortResult, ThresholdVector, _outcomes, best_prefix
+from .cache import (
+    SortResult,
+    ThresholdVector,
+    _outcomes,
+    best_packed_prefix,
+    pack_outcomes,
+)
 
 Oracle = Callable[[int], bool]
 
@@ -74,18 +80,18 @@ def dp_search(observations: np.ndarray) -> ThresholdVector:
     """Threshold minimizing disagreement with a [1...1 0...0] step vector.
 
     The optimal cut is the prefix (possibly empty) with the highest running
-    score sum(2*b - 1); ties resolve to the smallest cut.  ``best_prefix``
-    packs the observations and finds it in one scan over L/8 bytes.
+    score sum(2*b - 1); ties resolve to the smallest cut, found in one scan
+    over the L/8 packed bytes (``best_packed_prefix``).
     """
     bits = _outcomes(observations, name="observations")
-    return ThresholdVector(bits.size, best_prefix(bits))
+    return ThresholdVector(bits.size, best_packed_prefix(pack_outcomes(bits)))
 
 
 def extrapolate(selection: SampleSelection, total: int) -> ThresholdVector:
     """Scale the selection's optimal cut from budget points up to total.
 
-    The fraction k'/budget carries over; the result rounds half-up and is
-    clamped to [0, total].
+    The fraction k'/budget carries over and rounds half-up; 0 <= k' <= budget
+    keeps the result in [0, total].
     """
     budget = selection.budget
     if budget == 0:
@@ -94,7 +100,7 @@ def extrapolate(selection: SampleSelection, total: int) -> ThresholdVector:
         raise ValueError("selection positions exceed total length")
     k_small = dp_search(selection.outcomes).k
     k = (2 * k_small * total + budget) // (2 * budget)
-    return ThresholdVector(total, int(min(max(k, 0), total)))
+    return ThresholdVector(total, k)
 
 
 def _pick_positions(

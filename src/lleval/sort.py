@@ -13,7 +13,6 @@ import numpy as np
 
 from .cache import AccuracyCache, Permutation, SortMethod, SortResult, ThresholdVector
 from .metrics import RankedTruth
-from .search import dp_search
 
 
 def _descending_stable_argsort(sums: np.ndarray) -> np.ndarray:
@@ -66,13 +65,6 @@ def sort_by_confidence_sum(cache: AccuracyCache) -> SortResult:
     return _ranked(sums, SortMethod.CONFIDENCE_SUM)
 
 
-def _row_thresholds(cache: AccuracyCache, order: np.ndarray) -> np.ndarray:
-    ks = np.empty(cache.num_models, dtype=np.int64)
-    for i in range(cache.num_models):
-        ks[i] = dp_search(cache.row(i)[order]).k
-    return ks
-
-
 def threshold_all_rows(
     cache: AccuracyCache, perm: Permutation
 ) -> list[ThresholdVector]:
@@ -80,7 +72,10 @@ def threshold_all_rows(
     if len(perm) != cache.num_samples:
         raise ValueError("permutation length does not match cache columns")
     n = cache.num_samples
-    return [ThresholdVector(n, int(k)) for k in _row_thresholds(cache, perm.order)]
+    return [
+        ThresholdVector(n, RankedTruth(cache.row(i), perm).best_k)
+        for i in range(cache.num_models)
+    ]
 
 
 def objective(
@@ -122,7 +117,7 @@ def recursive_sort_by_sum(cache: AccuracyCache, max_depth: int = 2) -> SortResul
     depth = 1
     while blocks and depth < max_depth:
         depth += 1
-        ks = _row_thresholds(cache, order)
+        ks = np.array([t.k for t in threshold_all_rows(cache, Permutation(order))])
         next_blocks: list[tuple[int, int]] = []
         for lo, hi in blocks:
             rows = np.flatnonzero((ks > lo) & (ks <= hi))

@@ -9,7 +9,7 @@ demand without storing them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,25 +48,23 @@ class SynthSpec:
         object.__setattr__(self, "ability_range", (float(lo), float(hi)))
 
     def to_dict(self) -> dict:
-        return {
-            "num_models": self.num_models,
-            "num_samples": self.num_samples,
-            "ability_range": list(self.ability_range),
-            "temperature": self.temperature,
-            "noise": self.noise,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "ability_range": list(self.ability_range)}
 
     @classmethod
     def from_dict(cls, record: dict) -> "SynthSpec":
-        return cls(
-            num_models=int(record["num_models"]),
-            num_samples=int(record["num_samples"]),
-            ability_range=tuple(record.get("ability_range", (0.0, 1.0))),
-            temperature=float(record.get("temperature", 0.1)),
-            noise=float(record.get("noise", 0.0)),
-            seed=int(record.get("seed", 0)),
-        )
+        """The record's fields converted to their types; defaults fill the rest."""
+        return cls(**{k: t(record[k]) for k, t in _SPEC_TYPES.items() if k in record})
+
+
+# the type each SynthSpec field of a record converts to
+_SPEC_TYPES = {
+    "num_models": int,
+    "num_samples": int,
+    "ability_range": tuple,
+    "temperature": float,
+    "noise": float,
+    "seed": int,
+}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

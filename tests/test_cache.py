@@ -532,6 +532,11 @@ class TestColumnSums:
             assert np.array_equal(sums, dense.sum(axis=1))
 
 
+def _csv_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestPersistence:
     def test_empty_cache_round_trip(self, tmp_path):
         cache = AccuracyCache.from_dense(np.zeros((0, 0), dtype=bool))
@@ -675,13 +680,13 @@ class TestPersistence:
             ),
             pytest.param(
                 lambda reports, path: write_error_curve(path, reports),
-                lambda path: list(csv.reader(path.open(newline=""))),
+                _csv_rows,
                 [ErrorReport(0.5, 0.25, 0.125, 0.0, 8)],
                 id="write_error_curve",
             ),
             pytest.param(  # simulate's baseline.csv
                 lambda rows, path: _write_rows(path, rows),
-                lambda path: list(csv.reader(path.open(newline=""))),
+                _csv_rows,
                 [("budget", "mae"), (8, "0.5")],
                 id="write_rows",
             ),

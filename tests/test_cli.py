@@ -464,6 +464,14 @@ class TestSimulate:
         assert summary["sort_models"] == 20
         assert summary["holdout_models"] == 10
 
+    def test_fewer_than_four_budgets_fit_is_null(self, tmp_path):
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
+                     "--budgets", "8,16", "--out", str(out_dir)]) == 0
+        null_fit = {"a": None, "b": None, "c": None, "r2": None}
+        assert json.loads((out_dir / "fit.json").read_text()) == null_fit
+        assert json.loads((out_dir / "summary.json").read_text())["fit"] == null_fit
+
     def test_curve_matches_library_scoring(self, tmp_path):
         budgets = [3, 8, 50, 128, 700]
         out_dir = tmp_path / "sim"
@@ -648,7 +656,7 @@ class TestOutputDirectories:
             assert (fresh / name).is_file(), name
         assert not list(fresh.rglob(".*.tmp"))
 
-    @pytest.mark.parametrize("command", ["sort", "simulate"])
+    @pytest.mark.parametrize("command", ["sort", "simulate", "insert-sample"])
     def test_parent_that_is_a_file_is_one_error_line(
         self, small_setup, capsys, monkeypatch, command
     ):
@@ -660,28 +668,44 @@ class TestOutputDirectories:
         target = blocker / "out.llbc"
         if command == "sort":
             runs = [["sort", "--cache", str(cache_path), "--out", str(target)]]
-        else:  # each bad target is found before the cache is generated
+        elif command == "simulate":  # each bad input is found before generating
             generated = []
             monkeypatch.setattr(
                 lleval.synthgen, "generate", lambda *a, **k: generated.append(a)
             )
-            sim = ["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
-                   "--budgets", "8,16"]
+            sim = ["simulate", "--models", "10", "--holdout", "2", "--samples", "200"]
             runs = [
-                sim + ["--out", str(tmp_path / "sim"), "--save-cache", str(target)],
-                sim + ["--out", str(blocker / "sim"),
+                sim + ["--budgets", "8,16", "--out", str(tmp_path / "sim"),
+                       "--save-cache", str(target)],
+                sim + ["--budgets", "8,16", "--out", str(blocker / "sim"),
                        "--save-cache", str(tmp_path / "gen.llbc")],
+                sim + ["--budgets", "0,8", "--out", str(tmp_path / "sim"),
+                       "--save-cache", str(tmp_path / "gen.llbc")],
+            ]
+        else:  # each bad target is found before the oracle is asked
+            log = tmp_path / "asked.log"
+            ask = f"import sys; open({str(log)!r}, 'a').write(sys.argv[1] + '\\n'); print(1)"
+            insert = ["insert-sample", "--cache", str(cache_path), "--budget", "5",
+                      "--oracle-cmd", f'{sys.executable} -c "{ask}"']
+            runs = [
+                insert + ["--report", str(blocker / "rank.json")],
+                insert + ["--report", str(tmp_path / "rank.json"),
+                          "--append-out", str(target)],
             ]
         for argv in runs:
             capsys.readouterr()
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert "blocker" in err and ".tmp" not in err
+            blamed = "budget 0 outside [1, 200]" if "0,8" in argv else "blocker"
+            assert blamed in err and ".tmp" not in err
             assert blocker.read_text() == "not a directory"
         if command == "simulate":
             assert generated == []
             assert not (tmp_path / "gen.llbc").exists()
+        if command == "insert-sample":
+            assert not log.exists()
+            assert not (tmp_path / "rank.json").exists()
 
 
 def _digests(out_dir):

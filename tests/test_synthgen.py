@@ -1,6 +1,7 @@
 """Synthetic cache generation and held-out oracle consistency."""
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,23 @@ class TestSynthSpec:
     def test_json_round_trip(self):
         spec = SynthSpec(10, 20, (0.2, 0.8), 0.3, 0.1, 7)
         assert SynthSpec.from_dict(spec.to_dict()) == spec
+
+    def test_from_dict_fills_defaults(self):
+        assert SynthSpec.from_dict({"num_models": 3, "num_samples": 5}) == SynthSpec(3, 5)
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("ability_range", [0, 0.5], (0.0, 0.5)),
+            ("temperature", 2, 2.0),
+            ("noise", 0.25, 0.25),
+            ("seed", 9.0, 9),
+        ],
+    )
+    def test_from_dict_one_optional_key(self, key, value, expected):
+        spec = SynthSpec.from_dict({"num_models": 3, "num_samples": 5, key: value})
+        assert spec == replace(SynthSpec(3, 5), **{key: expected})
+        assert type(getattr(spec, key)) is type(expected)
 
 
 class TestGenerate:
