@@ -47,7 +47,7 @@ _TILE_BYTES = 1 << 16
 # threshold, so each unpacked plane reuses heap memory instead of faulting
 # in fresh pages
 _SLICE_BYTES = 15 << 10
-_WRITE_CHUNK = 1 << 16  # totals converted to f8 at once by ``save_sums``
+_WRITE_CHUNK = 1 << 16  # items converted at once by ``_write_converted``
 
 
 class FormatError(ValueError):
@@ -495,6 +495,18 @@ class Permutation:
         order.flags.writeable = False
         object.__setattr__(self, "order", order)
 
+    @classmethod
+    def _built(cls, order: np.ndarray) -> Permutation:
+        """A permutation of the 1-D int32/int64 ``order`` that a ranking has
+        just built, a bijection by construction: frozen without the O(n)
+        checks.  Every other order, a loaded one included, goes through
+        ``Permutation(order)``."""
+        perm = object.__new__(cls)
+        order = order.view()
+        order.flags.writeable = False
+        object.__setattr__(perm, "order", order)
+        return perm
+
     def __len__(self) -> int:
         return self.order.size
 
@@ -671,10 +683,21 @@ def load_cache(path: str | Path) -> AccuracyCache:
     return AccuracyCache(m, n, bits, confidence)
 
 
+def _write_converted(
+    path: str | Path, header: bytes, values: np.ndarray, dtype: str
+) -> None:
+    """``header``, then ``values`` as ``dtype`` a chunk at a time: no
+    full-length converted copy."""
+    with _replacing_writer(path) as fh:
+        fh.write(header)
+        for lo in range(0, values.size, _WRITE_CHUNK):
+            fh.write(values[lo : lo + _WRITE_CHUNK].astype(dtype, copy=False).data)
+
+
 def save_permutation(perm: Permutation, path: str | Path) -> None:
     header = _IO_HEADER.pack(_PERM_MAGIC, _IO_VERSION, len(perm))
     # never negative, so its int64 bytes are the stored uint64 ones
-    _write_blocks(path, header, perm.order.astype("<i8", copy=False))
+    _write_converted(path, header, perm.order, "<i8")
 
 
 def load_permutation(path: str | Path) -> Permutation:
@@ -684,10 +707,8 @@ def load_permutation(path: str | Path) -> Permutation:
 
 def save_sums(sums: np.ndarray, path: str | Path) -> None:
     sums = np.ravel(sums)
-    with _replacing_writer(path) as fh:
-        fh.write(_IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size))
-        for lo in range(0, sums.size, _WRITE_CHUNK):  # no 8n-byte f8 copy
-            fh.write(sums[lo : lo + _WRITE_CHUNK].astype("<f8", copy=False).data)
+    header = _IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size)
+    _write_converted(path, header, sums, "<f8")
 
 
 def load_sums(path: str | Path) -> np.ndarray:

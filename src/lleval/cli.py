@@ -101,9 +101,15 @@ def _load_sort_result(perm_path: str | Path) -> SortResult:
 
 def _make_parents(*paths: str | Path | None) -> None:
     """The writers' rule for a target's parent, applied before any work: made
-    if missing, one error naming it if it is a regular file."""
-    for path in filter(None, paths):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if missing, one error naming it if it is a regular file.  Every parent is
+    checked before any is made, so a failure leaves no directory behind."""
+    parents = [Path(path).parent for path in paths if path]
+    for parent in parents:
+        found = next(p for p in (parent, *parent.parents) if p.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"{found} is not a directory")
+    for parent in parents:
+        parent.mkdir(parents=True, exist_ok=True)
 
 
 def _derived_seed(seed: int, *parts: int) -> int:

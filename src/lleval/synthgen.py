@@ -52,7 +52,11 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, record: dict) -> "SynthSpec":
-        """The record's fields converted to their types; defaults fill the rest."""
+        """The record's fields converted to their types; defaults fill the rest.
+        A key that names no field is an error, not a silent default."""
+        unknown = sorted(set(record) - set(_SPEC_TYPES))
+        if unknown:
+            raise ValueError(f"unknown spec key {', '.join(map(repr, unknown))}")
         return cls(**{k: t(record[k]) for k, t in _SPEC_TYPES.items() if k in record})
 
 

@@ -139,8 +139,8 @@ class TestSort:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert rc == 0
-        # int32 totals and an int64 order; the memory-mapped cache is untraced
-        assert peak - before <= 12 * n + (8 << 20)
+        # int32 totals and an int32 order; the memory-mapped cache is untraced
+        assert peak - before <= 8 * n + (4 << 20)
         from lleval import load_permutation, load_sums
 
         sums = load_sums(out.with_suffix(".llsm"))
@@ -542,6 +542,17 @@ class TestSimulate:
         assert not out_dir.exists()
         assert not (tmp_path / "generated.llbc").exists()
 
+    def test_spec_json_unknown_key_is_one_error_line(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec = {"num_models": 30, "num_samples": 500, "temprature": 5.0, "noize": 0.3}
+        spec_path.write_text(json.dumps(spec))
+        out_dir = tmp_path / "sim"
+        rc = main(["simulate", "--spec-json", str(spec_path), "--holdout", "10",
+                   "--out", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown spec key 'noize', 'temprature'\n"
+        assert not out_dir.exists()
+
     SMALL_SWEEP = ["simulate", "--models", "12", "--holdout", "3", "--samples",
                    "200", "--seed", "4", "--budgets", "8,32"]
 
@@ -703,6 +714,7 @@ class TestOutputDirectories:
         if command == "simulate":
             assert generated == []
             assert not (tmp_path / "gen.llbc").exists()
+            assert not (tmp_path / "sim").exists()  # no --out made before a failure
         if command == "insert-sample":
             assert not log.exists()
             assert not (tmp_path / "rank.json").exists()

@@ -23,7 +23,7 @@ from lleval import (
     threshold_all_rows,
 )
 from lleval.cache import _POPCOUNT_CHUNK_BYTES, _TILE_BYTES
-from lleval.sort import _descending_stable_argsort, _tied_runs
+from lleval.sort import _sort_descending, _tied_runs
 
 
 def cache_with_column_sums(sums):
@@ -79,8 +79,20 @@ class TestSortBySum:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert np.all(np.diff(result.sums) <= 0)
-        # int64 order, int32 totals and uint16 keys; no totals[order] copy
-        assert peak - before <= 14 * n + (1 << 20)
+        # int32 totals and the uint32 words that become the order, plus one
+        # chunk of keys; no totals[order] copy
+        assert peak - before <= 8 * n + (1 << 20)
+
+    def test_fresh_order_is_int32_and_not_checked_again(self, monkeypatch):
+        cache = cache_with_column_sums([1, 3, 0, 3, 2])
+
+        def check(self):
+            raise AssertionError("a ranking's own order was checked again")
+
+        monkeypatch.setattr(Permutation, "__post_init__", check)
+        order = sort_by_sum(cache).permutation.order
+        assert order.dtype == np.int32 and not order.flags.writeable
+        assert order.tolist() == [1, 3, 4, 0, 2]
 
 
 class TestSortModelsBySum:
@@ -378,13 +390,43 @@ class TestSortPersistence:
         assert np.array_equal(load_permutation(path).order, order)
 
     def test_int32_order_stored_as_uint64(self, tmp_path):
-        order = np.array([2, 0, 3, 1], dtype=np.int32)
+        import tracemalloc
+
+        n = 1 << 20  # its 8 MB uint64 payload is written a chunk at a time
+        order = np.random.default_rng(18).permutation(n).astype(np.int32)
         path = tmp_path / "p.llpm"
-        save_permutation(Permutation(order), path)
-        assert path.read_bytes()[-32:] == order.astype("<u8").tobytes()
+        perm = Permutation(order)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_permutation(perm, path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - before < 1 << 20
+        assert path.read_bytes()[-8 * n:] == order.astype("<u8").tobytes()
+
+    @pytest.mark.parametrize(
+        "payload, problem", [([0, 0, 1], "distinct"), ([0, 3, 1], "range")]
+    )
+    def test_loaded_order_is_checked(self, tmp_path, payload, problem):
+        path = tmp_path / "p.llpm"
+        header = b"LLPM" + (1).to_bytes(4, "little") + len(payload).to_bytes(8, "little")
+        path.write_bytes(header + np.array(payload, dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match=problem):
+            load_permutation(path)
 
 
-class TestDescendingStableArgsort:
+class TestSortDescending:
+    @staticmethod
+    def check(vals):
+        """Sorts a copy; returns the order's dtype after checking both results."""
+        want = np.lexsort((np.arange(vals.size), -vals.astype(np.float64)))
+        values = vals.copy()
+        order = _sort_descending(values)
+        assert np.array_equal(order, want)
+        assert values.dtype == vals.dtype and np.array_equal(values, vals[want])
+        return order.dtype
+
     def test_matches_lexsort_for_ints_and_floats(self):
         rng = np.random.default_rng(50)
         for _ in range(30):
@@ -393,24 +435,47 @@ class TestDescendingStableArgsort:
                 vals = rng.integers(0, 9, size=n).astype(np.int64)
             else:
                 vals = rng.choice([0.5, 1.25, 2.0, 3.5], size=n)
-            got = _descending_stable_argsort(vals)
-            want = np.lexsort((np.arange(n), -vals.astype(np.float64)))
-            assert np.array_equal(got, want)
+            self.check(vals)
 
-    def test_radix_path_matches_lexsort(self):
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "span, order_dtype",
+        [(1 << 15, np.int32), (1 << 16, np.int64)],
+        ids=["32bit", "33bit"],
+    )
+    def test_word_width_boundary(self, dtype, span, order_dtype):
+        # 2**16 + 1 indices need 17 bits; a span of 2**15 - 1 needs 15 more
+        # (32-bit words), a span of 2**16 - 1 needs 16 (64-bit words)
         rng = np.random.default_rng(51)
-        cases = []
-        for n in (1_000, 70_000):  # either side of 2**16 items
-            for lo, span in ((7, 0), (-3, 65_535), (0, 65_536), (-40_000, 60_000)):
-                # span 65_536 cannot fit uint16 keys and must take the fallback
-                vals = rng.integers(lo, lo + span + 1, size=n)
-                vals[:2] = lo, lo + span
-                cases.append(vals)
-                cases.append(vals.astype(np.int32))
-            cases.append(rng.integers(0, 40, size=n) / 4.0)  # confidence sums
-        for vals in cases:
-            want = np.lexsort((np.arange(vals.size), -vals.astype(np.float64)))
-            assert np.array_equal(_descending_stable_argsort(vals), want)
+        n = (1 << 16) + 1
+        for lo in (-40_000, 0):
+            vals = rng.integers(lo, lo + span, size=n).astype(dtype)
+            vals[:4] = lo, lo + span - 1, lo, lo + span - 1  # ties at both ends
+            assert self.check(vals) == order_dtype
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_and_repeated_ints(self, dtype):
+        rng = np.random.default_rng(52)
+        for n in (0, 1, 2, 7, 1000, 70_003):
+            self.check(rng.integers(-500, 3, size=n).astype(dtype))
+            self.check(np.full(n, -3, dtype=dtype))  # all equal
+            self.check(np.zeros(n, dtype=dtype))
+
+    def test_ints_too_wide_for_a_word(self):
+        for vals in (
+            np.array([np.iinfo(np.int64).min, 5, np.iinfo(np.int64).max, 5, -1]),
+            np.array([2**64 - 1, 0, 2**63, 7, 2**64 - 1], dtype=np.uint64),
+        ):
+            want = sorted(range(vals.size), key=lambda i: (-int(vals[i]), i))
+            values = vals.copy()
+            assert _sort_descending(values).tolist() == want
+            assert np.array_equal(values, vals[want])
+
+    def test_float_sums(self):
+        rng = np.random.default_rng(53)
+        for n in (0, 1, 1000, 70_000):
+            self.check(rng.integers(-40, 40, size=n) / 4.0)  # confidence sums
+            self.check(np.full(n, 0.5))
 
 
 class TestTiedRuns:

@@ -36,6 +36,11 @@ class TestSynthSpec:
     def test_from_dict_fills_defaults(self):
         assert SynthSpec.from_dict({"num_models": 3, "num_samples": 5}) == SynthSpec(3, 5)
 
+    def test_from_dict_rejects_unknown_keys(self):
+        record = {"num_models": 30, "num_samples": 500, "temprature": 5.0, "noize": 0.3}
+        with pytest.raises(ValueError, match="unknown spec key 'noize', 'temprature'$"):
+            SynthSpec.from_dict(record)
+
     @pytest.mark.parametrize(
         "key, value, expected",
         [
