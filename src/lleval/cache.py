@@ -47,7 +47,7 @@ _TILE_BYTES = 1 << 16
 # threshold, so each unpacked plane reuses heap memory instead of faulting
 # in fresh pages
 _SLICE_BYTES = 15 << 10
-_WRITE_CHUNK = 1 << 16  # items converted at once by ``_write_converted``
+_WRITE_CHUNK = 1 << 16  # items ``_write_blocks`` converts at once
 
 
 class FormatError(ValueError):
@@ -568,17 +568,29 @@ class SortResult:
 # -- persistence -----------------------------------------------------------
 
 
+def _make_parents(*paths: str | Path | None) -> None:
+    """The one rule for a target's parent: made if missing, one error naming
+    it if a regular file is in the way.  Every parent is checked before any
+    is made, so a failure leaves no directory behind."""
+    parents = [Path(path).parent for path in paths if path]
+    for parent in parents:
+        found = next(p for p in (parent, *parent.parents) if p.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"{found} is not a directory")
+    for parent in parents:
+        parent.mkdir(parents=True, exist_ok=True)
+
+
 @contextlib.contextmanager
 def _replacing_writer(path: str | Path):
     """Handle on a temporary file that replaces ``path`` only on success, so
     a failed write keeps the old file and mapped readers never see it shrink.
 
-    Creates the missing parent directories of ``path`` first, so a parent
-    that is not a directory fails there, naming it, and not at the hidden
-    temporary file.
+    Applies ``_make_parents`` first, so a blocked parent fails there, naming
+    it, and not at the hidden temporary file.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -589,12 +601,20 @@ def _replacing_writer(path: str | Path):
         raise
 
 
-def _write_blocks(path: str | Path, header: bytes, *blocks: np.ndarray) -> None:
-    """``header`` (all of a text artifact), then each array's raw bytes."""
+def _write_blocks(path: str | Path, header: bytes, *blocks: tuple) -> None:
+    """``header`` (all of a text artifact), then each ``(values, dtype)``
+    block's items in C order, stored as ``dtype``.  Values already of that
+    dtype go out from their own buffer in one call; others are converted
+    ``_WRITE_CHUNK`` items at a time: no full-length converted copy."""
     with _replacing_writer(path) as fh:
         fh.write(header)
-        for block in blocks:  # the array's own buffer: no bytes copy
-            fh.write(np.ascontiguousarray(block).data)
+        for values, dtype in blocks:
+            if values.dtype == dtype:  # the array's own buffer: no bytes copy
+                fh.write(np.ascontiguousarray(values).data)
+            else:
+                flat = np.ravel(values)
+                for lo in range(0, flat.size, _WRITE_CHUNK):
+                    fh.write(flat[lo : lo + _WRITE_CHUNK].astype(dtype).data)
 
 
 def _write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
@@ -649,8 +669,8 @@ def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     m, n = cache.num_models, cache.num_samples
     flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
     header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, n, flags)
-    conf = [] if cache.confidence is None else [cache.confidence.astype("<f4", copy=False)]
-    _write_blocks(path, header, cache.bits, *conf)
+    conf = [] if cache.confidence is None else [(cache.confidence, "<f4")]
+    _write_blocks(path, header, (cache.bits, "u1"), *conf)
 
 
 def _map_block(path: str | Path, dtype: str, shape: tuple, offset: int) -> np.ndarray:
@@ -683,60 +703,67 @@ def load_cache(path: str | Path) -> AccuracyCache:
     return AccuracyCache(m, n, bits, confidence)
 
 
-def _write_converted(
-    path: str | Path, header: bytes, values: np.ndarray, dtype: str
-) -> None:
-    """``header``, then ``values`` as ``dtype`` a chunk at a time: no
-    full-length converted copy."""
-    with _replacing_writer(path) as fh:
-        fh.write(header)
-        for lo in range(0, values.size, _WRITE_CHUNK):
-            fh.write(values[lo : lo + _WRITE_CHUNK].astype(dtype, copy=False).data)
-
-
 def save_permutation(perm: Permutation, path: str | Path) -> None:
     header = _IO_HEADER.pack(_PERM_MAGIC, _IO_VERSION, len(perm))
     # never negative, so its int64 bytes are the stored uint64 ones
-    _write_converted(path, header, perm.order, "<i8")
+    _write_blocks(path, header, (perm.order, "<i8"))
 
 
 def load_permutation(path: str | Path) -> Permutation:
-    payload = _read_array_file(path, _PERM_MAGIC, "<u8")
-    return Permutation(payload.astype(np.int64))
+    # an index >= 2**63 views as negative and fails the range check
+    return Permutation(_read_array_file(path, _PERM_MAGIC, "<u8").view("<i8"))
 
 
 def save_sums(sums: np.ndarray, path: str | Path) -> None:
-    sums = np.ravel(sums)
+    sums = np.asarray(sums)
     header = _IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size)
-    _write_converted(path, header, sums, "<f8")
+    _write_blocks(path, header, (sums, "<f8"))
 
 
 def load_sums(path: str | Path) -> np.ndarray:
-    return _read_array_file(path, _SUMS_MAGIC, "<f8").copy()
+    return _read_array_file(path, _SUMS_MAGIC, "<f8")
 
 
 def _read_array_file(path: str | Path, magic: bytes, dtype: str) -> np.ndarray:
-    data = Path(path).read_bytes()
-    (length,) = _unpack_header(data, magic, _IO_HEADER, _IO_VERSION)
-    expected = _IO_HEADER.size + length * np.dtype(dtype).itemsize
-    _check_size(len(data), expected, "payload")
-    return np.frombuffer(data, dtype=dtype, count=length, offset=_IO_HEADER.size)
+    """The checked payload, read from the open file into its one array."""
+    with open(path, "rb") as fh:
+        head = fh.read(_IO_HEADER.size)
+        (length,) = _unpack_header(head, magic, _IO_HEADER, _IO_VERSION)
+        expected = _IO_HEADER.size + length * np.dtype(dtype).itemsize
+        _check_size(os.fstat(fh.fileno()).st_size, expected, "payload")
+        return np.fromfile(fh, dtype=dtype, count=length)
+
+
+def _csv_lines(fh: Iterable[str]) -> Iterable[tuple[int, str]]:
+    """(line number, line) of each non-blank line, ``str.splitlines`` style,
+    read from the open text file a physical line at a time."""
+    lineno = 0
+    for physical in fh:
+        for line in physical.splitlines():
+            lineno += 1
+            if line.strip():
+                yield lineno, line
 
 
 def import_csv(path: str | Path, has_confidence: bool = False) -> AccuracyCache:
     """Build a cache from a CSV of 0/1 entries (or [0,1] reals).
 
     With ``has_confidence`` every value v in [0, 1] is kept as confidence and
-    binarized as v >= 0.5; otherwise entries must be exactly 0 or 1.
+    binarized as v >= 0.5; otherwise entries must be exactly 0 or 1.  Reads
+    the file twice, a line at a time: once for the row count and width, then
+    parsing each row into the preallocated bits and confidences.
     """
-    text = Path(path).read_text()
-    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
-    width = len(lines[0][1].split(",")) if lines else 0
-    confidence = np.empty((len(lines), width), np.float32) if has_confidence else None
     rule = "outside [0, 1]" if has_confidence else "is not 0 or 1"
-
-    def rows():
-        for i, (lineno, line) in enumerate(lines):
+    with open(path) as fh:
+        m, width = 0, 0
+        for _, line in _csv_lines(fh):
+            if not m:
+                width = line.count(",") + 1
+            m += 1
+        bits = np.empty((m, _row_bytes(width)), np.uint8)
+        confidence = np.empty((m, width), np.float32) if has_confidence else None
+        fh.seek(0)
+        for i, (lineno, line) in enumerate(_csv_lines(fh)):
             tokens = line.split(",")
             try:
                 values = np.array(tokens, dtype=np.float64)  # float()'s grammar
@@ -761,6 +788,6 @@ def import_csv(path: str | Path, has_confidence: bool = False) -> AccuracyCache:
                 raise ValueError(f"row {lineno}, column {colno}: value {v} {rule}")
             if has_confidence:
                 confidence[i] = values
-            yield values >= 0.5  # float64: 0.49999999 rounds to 0.5 in float32
-
-    return AccuracyCache.from_rows(width, rows(), confidence)
+            # float64: 0.49999999 rounds to 0.5 in float32
+            bits[i] = pack_outcomes(values >= 0.5)
+    return AccuracyCache(m, width, bits, confidence)

@@ -23,6 +23,7 @@ from .baseline import copy_nearest_expand_from_truth
 from .cache import (
     SortMethod,
     SortResult,
+    _make_parents,
     _read_json,
     _read_outcomes,
     _write_json,
@@ -99,19 +100,6 @@ def _load_sort_result(perm_path: str | Path) -> SortResult:
     return SortResult(perm, sums, SortMethod.SUM)
 
 
-def _make_parents(*paths: str | Path | None) -> None:
-    """The writers' rule for a target's parent, applied before any work: made
-    if missing, one error naming it if it is a regular file.  Every parent is
-    checked before any is made, so a failure leaves no directory behind."""
-    parents = [Path(path).parent for path in paths if path]
-    for parent in parents:
-        found = next(p for p in (parent, *parent.parents) if p.exists())
-        if not found.is_dir():
-            raise NotADirectoryError(f"{found} is not a directory")
-    for parent in parents:
-        parent.mkdir(parents=True, exist_ok=True)
-
-
 def _derived_seed(seed: int, *parts: int) -> int:
     value = seed
     for part in parts:
@@ -130,6 +118,11 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
+    if _sums_path(args.out) == Path(args.out):
+        raise ValueError(
+            f"--out {args.out} is its own totals sidecar; "
+            "give the permutation another suffix, such as .llpm"
+        )
     cache = load_cache(args.cache)
     if args.method == "sum":
         result = sort_by_sum(cache)
@@ -158,7 +151,7 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     else:
         oracle = _command_oracle(args.oracle_cmd)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # fail before any oracle query
+    _make_parents(out_dir / "curve.csv")  # fail before any oracle query
 
     reports = []
     for budget in budgets:

@@ -31,7 +31,9 @@ from lleval import (
     write_error_curve,
 )
 import lleval
-from lleval.cache import _SLICE_BYTES, _TILE_BYTES, _write_blocks, _write_rows
+from lleval.cache import (
+    _SLICE_BYTES, _TILE_BYTES, _WRITE_CHUNK, _write_blocks, _write_rows,
+)
 from lleval.cli import _write_json
 
 
@@ -651,6 +653,22 @@ class TestPersistence:
         assert peak - before < 1 << 20
         assert load_cache(path) == cache
 
+    def test_save_with_confidence_writes_without_copy(self, tmp_path):
+        import tracemalloc
+
+        m, n = 4, 500_003  # about 8 MB of float32 confidences
+        conf = np.random.default_rng(19).random((m, n), dtype=np.float32)
+        cache = AccuracyCache.from_dense(conf >= 0.5, conf)
+        path = tmp_path / "cache.llbc"
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        save_cache(cache, path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - before < 1 << 20
+        assert load_cache(path) == cache
+
     def test_blocks_written_as_tobytes(self, tmp_path):
         rng = np.random.default_rng(16)
         grid = rng.random((6, 9)).astype("<f4")
@@ -662,9 +680,42 @@ class TestPersistence:
             np.arange(4, dtype="<u8"),
             np.zeros(0, dtype="<f8"),
         ]
+        converted = [  # (values, stored dtype): written a chunk at a time
+            (rng.permutation(3 * _WRITE_CHUNK + 5).astype(np.int32), "<i8"),
+            (np.arange(12, dtype=np.int32).reshape(3, 4).T, "<i8"),  # C order
+        ]
         path = tmp_path / "blocks"
-        _write_blocks(path, b"HEAD", *blocks)
-        assert path.read_bytes() == b"HEAD" + b"".join(b.tobytes() for b in blocks)
+        _write_blocks(path, b"HEAD", *[(b, b.dtype) for b in blocks], *converted)
+        want = [b.tobytes() for b in blocks] + [v.astype(d).tobytes() for v, d in converted]
+        assert path.read_bytes() == b"HEAD" + b"".join(want)
+
+    @pytest.mark.parametrize("kind", ["permutation", "sums"])
+    def test_loader_reads_payload_once(self, tmp_path, kind):
+        """The payload array is the only length-n allocation, plus the
+        permutation check's one byte per item."""
+        import tracemalloc
+
+        n = 1 << 20
+        order = np.random.default_rng(20).permutation(n).astype(np.int32)
+        path = tmp_path / f"rank.{kind}"
+        if kind == "permutation":
+            save_permutation(Permutation(order), path)
+            load, per_item = load_permutation, 9
+        else:
+            save_sums(order, path)
+            load, per_item = load_sums, 8
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - before <= per_item * n + (1 << 20)
+        if kind == "permutation":
+            assert np.array_equal(loaded.order, order)
+        else:
+            assert loaded.flags.writeable  # the caller's own array
+            assert loaded.dtype == np.float64 and np.array_equal(loaded, order)
 
     @pytest.mark.parametrize(
         "save, load, value",
@@ -767,6 +818,28 @@ class TestCsvImport:
         path.write_text("")
         cache = import_csv(path)
         assert (cache.num_models, cache.num_samples) == (0, 0)
+
+    def test_streams_the_file(self, tmp_path):
+        """A 20 MB CSV is read a line at a time: neither its text nor its
+        line list is ever held whole."""
+        import tracemalloc
+
+        m, n = 100, 100_000
+        dense = np.random.default_rng(21).random((m, n)) < 0.5
+        text = np.full((m, 2 * n), ord(","), dtype=np.uint8)
+        text[:, 0::2] = dense + ord("0")
+        text[:, -1] = ord("\n")
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.tobytes())
+        del text
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cache = import_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak - before < 8 << 20
+        assert cache == AccuracyCache.from_dense(dense)
 
 
 class TestPermutationType:

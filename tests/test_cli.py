@@ -667,7 +667,10 @@ class TestOutputDirectories:
             assert (fresh / name).is_file(), name
         assert not list(fresh.rglob(".*.tmp"))
 
-    @pytest.mark.parametrize("command", ["sort", "simulate", "insert-sample"])
+    @pytest.mark.parametrize(
+        "command",
+        ["import", "sort", "eval-model", "insert-sample", "simulate", "metrics"],
+    )
     def test_parent_that_is_a_file_is_one_error_line(
         self, small_setup, capsys, monkeypatch, command
     ):
@@ -677,8 +680,28 @@ class TestOutputDirectories:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         target = blocker / "out.llbc"
-        if command == "sort":
+        # an oracle that logs each index it is asked
+        log = tmp_path / "asked.log"
+        ask = f"import sys; open({str(log)!r}, 'a').write(sys.argv[1] + '\\n'); print(1)"
+        oracle = ["--oracle-cmd", f'{sys.executable} -c "{ask}"']
+        if command == "import":
+            csv_path = tmp_path / "matrix.csv"
+            runs = [["import", "--csv", str(csv_path), "--out", str(target)]]
+        elif command == "sort":
             runs = [["sort", "--cache", str(cache_path), "--out", str(target)]]
+        elif command == "eval-model":  # under a file, and a file itself
+            evaluate = ["eval-model", "--perm", str(perm_path), "--budgets", "8", *oracle]
+            runs = [evaluate + ["--out", str(blocker / "eval")],
+                    evaluate + ["--out", str(blocker)]]
+        elif command == "metrics":
+            truth_path = tmp_path / "truth.csv"
+            write_vector(truth_path, np.ones(60, dtype=bool))
+            assert main(["eval-model", "--perm", str(perm_path), "--truth",
+                         str(truth_path), "--budgets", "16",
+                         "--out", str(tmp_path / "eval")]) == 0
+            runs = [["metrics", "--truth", str(truth_path),
+                     "--pred", str(tmp_path / "eval" / "prediction_16.json"),
+                     "--perm", str(perm_path), "--out", str(blocker / "m.json")]]
         elif command == "simulate":  # each bad input is found before generating
             generated = []
             monkeypatch.setattr(
@@ -694,10 +717,8 @@ class TestOutputDirectories:
                        "--save-cache", str(tmp_path / "gen.llbc")],
             ]
         else:  # each bad target is found before the oracle is asked
-            log = tmp_path / "asked.log"
-            ask = f"import sys; open({str(log)!r}, 'a').write(sys.argv[1] + '\\n'); print(1)"
             insert = ["insert-sample", "--cache", str(cache_path), "--budget", "5",
-                      "--oracle-cmd", f'{sys.executable} -c "{ask}"']
+                      *oracle]
             runs = [
                 insert + ["--report", str(blocker / "rank.json")],
                 insert + ["--report", str(tmp_path / "rank.json"),
@@ -707,17 +728,32 @@ class TestOutputDirectories:
             capsys.readouterr()
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            blamed = "budget 0 outside [1, 200]" if "0,8" in argv else "blocker"
-            assert blamed in err and ".tmp" not in err
+            if "0,8" in argv:
+                assert err == "error: budget 0 outside [1, 200]\n"
+            else:
+                assert err == f"error: {blocker} is not a directory\n"
             assert blocker.read_text() == "not a directory"
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not log.exists()  # no oracle call
         if command == "simulate":
             assert generated == []
             assert not (tmp_path / "gen.llbc").exists()
             assert not (tmp_path / "sim").exists()  # no --out made before a failure
         if command == "insert-sample":
-            assert not log.exists()
             assert not (tmp_path / "rank.json").exists()
+
+    def test_sort_output_that_is_its_own_sidecar_is_refused(
+        self, small_setup, capsys, monkeypatch
+    ):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        loaded = []
+        monkeypatch.setattr(cli, "load_cache", loaded.append)
+        out = tmp_path / "rank.llsm"
+        assert main(["sort", "--cache", str(cache_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} is its own totals sidecar")
+        assert err.count("\n") == 1
+        assert loaded == [] and not out.exists()
 
 
 def _digests(out_dir):

@@ -406,7 +406,8 @@ class TestSortPersistence:
         assert path.read_bytes()[-8 * n:] == order.astype("<u8").tobytes()
 
     @pytest.mark.parametrize(
-        "payload, problem", [([0, 0, 1], "distinct"), ([0, 3, 1], "range")]
+        "payload, problem",
+        [([0, 0, 1], "distinct"), ([0, 3, 1], "range"), ([1, 1 << 63, 0], "range")],
     )
     def test_loaded_order_is_checked(self, tmp_path, payload, problem):
         path = tmp_path / "p.llpm"
