@@ -241,7 +241,7 @@ class AccuracyCache:
                 raise ValueError(
                     f"confidence shape {conf.shape} does not match {m}x{n} cache"
                 )
-            if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
+            if conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):  # NaN too
                 raise ValueError("confidence values must lie in [0, 1]")
             conf.flags.writeable = False
             object.__setattr__(self, "confidence", conf)
@@ -693,14 +693,14 @@ def load_cache(path: str | Path) -> AccuracyCache:
     bits_len = m * rb
     conf_len = m * n * 4 if flags & _FLAG_CONFIDENCE else 0
     _check_size(size, _HEADER.size + bits_len + conf_len, "cache payload")
-    bits = _map_block(path, "u1", (m, rb), _HEADER.size)
-    mask = _pad_mask(n)
-    if mask and m and np.any(bits[:, -1] & mask):
-        raise FormatError("nonzero padding bits in stored rows")
-    confidence = None
-    if flags & _FLAG_CONFIDENCE:
-        confidence = _map_block(path, "<f4", (m, n), _HEADER.size + bits_len)
-    return AccuracyCache(m, n, bits, confidence)
+    try:
+        bits = _map_block(path, "u1", (m, rb), _HEADER.size)
+        confidence = None
+        if flags & _FLAG_CONFIDENCE:
+            confidence = _map_block(path, "<f4", (m, n), _HEADER.size + bits_len)
+        return AccuracyCache(m, n, bits, confidence)  # checks padding and [0, 1]
+    except ValueError as exc:  # also an empty block too wide for any array
+        raise FormatError(str(exc)) from None
 
 
 def save_permutation(perm: Permutation, path: str | Path) -> None:
@@ -711,7 +711,11 @@ def save_permutation(perm: Permutation, path: str | Path) -> None:
 
 def load_permutation(path: str | Path) -> Permutation:
     # an index >= 2**63 views as negative and fails the range check
-    return Permutation(_read_array_file(path, _PERM_MAGIC, "<u8").view("<i8"))
+    order = _read_array_file(path, _PERM_MAGIC, "<u8").view("<i8")
+    try:
+        return Permutation(order)
+    except ValueError as exc:  # a payload that is no permutation
+        raise FormatError(str(exc)) from None
 
 
 def save_sums(sums: np.ndarray, path: str | Path) -> None:

@@ -111,6 +111,7 @@ def _derived_seed(seed: int, *parts: int) -> int:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
+    _make_parents(args.out)  # fail before the CSV is read
     cache = import_csv(args.csv, has_confidence=args.confidence)
     save_cache(cache, args.out)
     print(f"wrote {cache.num_models}x{cache.num_samples} cache to {args.out}")
@@ -123,6 +124,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             f"--out {args.out} is its own totals sidecar; "
             "give the permutation another suffix, such as .llpm"
         )
+    _make_parents(args.out, _sums_path(args.out))  # fail before the cache is read
     cache = load_cache(args.cache)
     if args.method == "sum":
         result = sort_by_sum(cache)

@@ -2,8 +2,10 @@
 
 import csv
 import gc
+import itertools
 import json
 import re
+import struct
 import threading
 import weakref
 from pathlib import Path
@@ -127,6 +129,8 @@ class TestConstruction:
             AccuracyCache.from_dense(dense, np.zeros((2, 3), dtype=np.float32))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             AccuracyCache.from_dense(dense, np.full((2, 2), 1.5, dtype=np.float32))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            AccuracyCache.from_dense(dense, np.full((2, 2), np.nan, dtype=np.float32))
 
     def test_non_binary_dense_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
@@ -777,6 +781,63 @@ class TestPersistence:
         assert path.read_bytes() == old
         load(path)
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+class TestLoadersOnAnyBytes:
+    """Given any bytes, a binary loader returns its artifact or raises FormatError."""
+
+    def test_arbitrary_and_mutated_files(self, tmp_path):
+        pytest.importorskip("hypothesis")
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        rng = np.random.default_rng(16)
+        valid = []
+        for name, save, value in [
+            ("plain.llbc", save_cache, random_cache(rng, 3, 13)),
+            ("conf.llbc", save_cache, random_cache(rng, 2, 5, with_confidence=True)),
+            ("rank.llpm", save_permutation, Permutation(rng.permutation(11))),
+            ("rank.llsm", save_sums, np.sort(rng.integers(0, 9, 11))[::-1]),
+        ]:
+            save(value, tmp_path / name)
+            valid.append((tmp_path / name).read_bytes())
+        headers = [magic + struct.pack("<I", 1) for magic in (b"LLBC", b"LLPM", b"LLSM")]
+
+        @st.composite
+        def files(draw):
+            how = draw(st.sampled_from(["any", "header", "flip", "cut", "append"]))
+            if how == "any":
+                return draw(st.binary(max_size=80))
+            if how == "header":  # past the magic and version checks
+                return draw(st.sampled_from(headers)) + draw(st.binary(max_size=80))
+            data = bytearray(draw(st.sampled_from(valid)))
+            if how == "cut":
+                return bytes(data[: draw(st.integers(0, len(data) - 1))])
+            if how == "append":
+                return bytes(data) + draw(st.binary(min_size=1, max_size=16))
+            flips = st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255))
+            for at, mask in draw(st.lists(flips, min_size=1, max_size=4)):
+                data[at] ^= mask
+            return bytes(data)
+
+        written = itertools.count()
+
+        @settings(max_examples=500, deadline=None)
+        @given(files())
+        @example(struct.pack("<4sIQqq", b"LLPM", 1, 2, 0, 0))  # not distinct
+        @example(struct.pack("<4sIQq", b"LLPM", 1, 1, 5))  # out of range
+        @example(struct.pack("<4sIQQQ", b"LLBC", 1, 0, 1 << 63, 1))  # no array that wide
+        @example(struct.pack("<4sIQQQBf", b"LLBC", 1, 1, 1, 1, 1, 2.0))  # confidence 2
+        def check(data):
+            path = tmp_path / f"fuzz{next(written)}"  # a fresh file: no live map changes
+            path.write_bytes(data)
+            for load in (load_cache, load_permutation, load_sums):
+                try:
+                    load(path)
+                except FormatError:
+                    pass
+
+        check()
 
 
 class TestCsvImport:

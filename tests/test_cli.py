@@ -684,6 +684,10 @@ class TestOutputDirectories:
         log = tmp_path / "asked.log"
         ask = f"import sys; open({str(log)!r}, 'a').write(sys.argv[1] + '\\n'); print(1)"
         oracle = ["--oracle-cmd", f'{sys.executable} -c "{ask}"']
+        read = []  # inputs that import and sort read only after the check
+        if command in ("import", "sort"):
+            for name in ("import_csv", "load_cache"):
+                monkeypatch.setattr(cli, name, lambda *a, **k: read.append(a))
         if command == "import":
             csv_path = tmp_path / "matrix.csv"
             runs = [["import", "--csv", str(csv_path), "--out", str(target)]]
@@ -735,6 +739,7 @@ class TestOutputDirectories:
             assert blocker.read_text() == "not a directory"
         assert not list(tmp_path.rglob("*.tmp"))
         assert not log.exists()  # no oracle call
+        assert read == []
         if command == "simulate":
             assert generated == []
             assert not (tmp_path / "gen.llbc").exists()
