@@ -18,6 +18,7 @@ from .cache import (
     load_cache,
     load_permutation,
     load_sums,
+    save_appended_cache,
     save_cache,
     save_permutation,
     save_sums,
@@ -101,6 +102,7 @@ __all__ = [
     "random_positions",
     "rank_correlation",
     "recursive_sort_by_sum",
+    "save_appended_cache",
     "save_cache",
     "save_permutation",
     "save_sums",

@@ -39,7 +39,9 @@ _IO_HEADER = struct.Struct("<4sIQ")  # magic, version, length
 _INT32_MAX = np.iinfo(np.int32).max
 
 # packed bytes popcounted at once by ``row_sums``: bounds that scratch
-_POPCOUNT_CHUNK_BYTES = 1 << 22
+_POPCOUNT_CHUNK_BYTES = 1 << 20
+# bytes of grown rows ``save_appended_cache`` builds at once
+_GROW_CHUNK_BYTES = 1 << 20
 # packed bytes per ``column_sums`` tile: its bit planes and carries stay in L2
 _TILE_BYTES = 1 << 16
 # plane bytes ``column_sums`` unpacks at once, and the widest rows it lays
@@ -200,6 +202,28 @@ def _add_rows(
             _ripple(planes[d:], carry, (scratch[0], out))
 
 
+def _check_unit_range(conf: np.ndarray) -> None:
+    if conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):  # NaN too
+        raise ValueError("confidence values must lie in [0, 1]")
+
+
+def _grow_bits(out: np.ndarray, rows: np.ndarray, col: np.ndarray, n: int) -> None:
+    """The one rule for a new column: ``out`` gets the packed ``rows`` of
+    ``n`` columns, then the bool ``col`` as column ``n``, in the byte's
+    first padding bit or in a new byte."""
+    out[:, : rows.shape[1]] = rows
+    out[:, rows.shape[1] :] = 0
+    out[:, n // 8] |= col.view(np.uint8) << (n % 8)
+
+
+def _grow_confidence(
+    out: np.ndarray, rows: np.ndarray, col: np.ndarray, n: int
+) -> None:
+    """``out`` gets the confidence ``rows`` of ``n`` columns, then ``col``."""
+    out[:, :n] = rows
+    out[:, n] = col
+
+
 def _unpacked_lanes(plane: np.ndarray) -> np.ndarray:
     """A plane's bits as 0/1 bytes, viewed as uint64 lanes of 8 columns."""
     return np.unpackbits(plane, axis=-1, bitorder="little").view(np.uint64)
@@ -241,8 +265,7 @@ class AccuracyCache:
                 raise ValueError(
                     f"confidence shape {conf.shape} does not match {m}x{n} cache"
                 )
-            if conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):  # NaN too
-                raise ValueError("confidence values must lie in [0, 1]")
+            _check_unit_range(conf)
             conf.flags.writeable = False
             object.__setattr__(self, "confidence", conf)
 
@@ -420,14 +443,22 @@ class AccuracyCache:
     def row_sums(self) -> np.ndarray:
         """Per-row popcounts (int64).
 
-        Counts packed rows in chunks, so no m x n matrix is ever built.
+        Each chunk of rows is copied into one reused scratch of whole
+        uint64 words, zero past each row's bytes, and popcounted a word at
+        a time: no m x n matrix is ever built.
         """
-        bits = self.bits
-        step = max(1, _POPCOUNT_CHUNK_BYTES // max(1, bits.shape[1]))
-        sums = np.empty(self.num_models, dtype=np.int64)
-        for lo in range(0, self.num_models, step):
-            hi = lo + step
-            np.bitwise_count(bits[lo:hi]).sum(axis=1, dtype=np.int64, out=sums[lo:hi])
+        m, rb = self.bits.shape
+        words = -(-rb // 8)
+        step = max(1, _POPCOUNT_CHUNK_BYTES // max(1, 8 * words))
+        scratch = np.zeros((min(m, step), words), dtype=np.uint64)
+        row_bytes = scratch.view(np.uint8)[:, :rb]
+        # an int32 sum is about twice as fast as numpy's default uint64 one
+        dtype = np.int32 if self.num_samples <= _INT32_MAX else np.int64
+        sums = np.empty(m, dtype=np.int64)
+        for lo in range(0, m, step):
+            k = min(step, m - lo)
+            row_bytes[:k] = self.bits[lo : lo + k]
+            sums[lo : lo + k] = np.bitwise_count(scratch[:k]).sum(axis=1, dtype=dtype)
         return sums
 
     # -- growth ------------------------------------------------------------
@@ -451,22 +482,37 @@ class AccuracyCache:
     def append_column(
         self, col: np.ndarray, confidence_col: np.ndarray | None = None
     ) -> "AccuracyCache":
-        """New cache with one more sample; existing columns are untouched."""
-        col = _outcomes(col, self.num_models, "column")
+        """New cache with one more sample; existing columns are untouched.
+        ``save_appended_cache`` writes the same cache without building it."""
+        col, confidence_col = self._new_column(col, confidence_col)
         m, n = self.num_models, self.num_samples
-        bits = np.zeros((m, _row_bytes(n + 1)), dtype=np.uint8)
-        bits[:, : _row_bytes(n)] = self.bits
-        bits[:, n // 8] |= col.view(np.uint8) << (n % 8)
+        bits = np.empty((m, _row_bytes(n + 1)), dtype=np.uint8)
+        _grow_bits(bits, self.bits, col, n)
         conf = None
-        if self.confidence is not None:
-            if confidence_col is None:
-                raise ValueError("cache stores confidences; confidence_col required")
-            conf = np.hstack(
-                [self.confidence, np.asarray(confidence_col, dtype=np.float32)[:, None]]
-            )
-        elif confidence_col is not None:
-            raise ValueError("cache stores no confidences; confidence_col not allowed")
+        if confidence_col is not None:
+            conf = np.empty((m, n + 1), dtype=np.float32)
+            _grow_confidence(conf, self.confidence, confidence_col, n)
         return AccuracyCache(m, n + 1, bits, conf)
+
+    def _new_column(
+        self, col: np.ndarray, confidence_col: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``col`` as bools and ``confidence_col`` as float32, both checked
+        as one more sample of this cache."""
+        col = _outcomes(col, self.num_models, "column")
+        if self.confidence is None:
+            if confidence_col is not None:
+                raise ValueError("cache stores no confidences; confidence_col not allowed")
+            return col, None
+        if confidence_col is None:
+            raise ValueError("cache stores confidences; confidence_col required")
+        conf = np.asarray(confidence_col, dtype=np.float32)
+        if conf.shape != (self.num_models,):
+            raise ValueError(
+                f"confidence_col shape {conf.shape} does not match {self.num_models} models"
+            )
+        _check_unit_range(conf)
+        return col, conf
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,17 +614,16 @@ class SortResult:
 # -- persistence -----------------------------------------------------------
 
 
-def _make_parents(*paths: str | Path | None) -> None:
-    """The one rule for a target's parent: made if missing, one error naming
-    it if a regular file is in the way.  Every parent is checked before any
-    is made, so a failure leaves no directory behind."""
-    parents = [Path(path).parent for path in paths if path]
-    for parent in parents:
-        found = next(p for p in (parent, *parent.parents) if p.exists())
-        if not found.is_dir():
-            raise NotADirectoryError(f"{found} is not a directory")
-    for parent in parents:
-        parent.mkdir(parents=True, exist_ok=True)
+def _check_parents(*paths: str | Path | None) -> None:
+    """The one rule for a target's parent: one error naming the regular file
+    in its way, if there is one.  Makes nothing, so a command that checks
+    its targets early and fails later leaves no directory behind."""
+    for path in paths:
+        if path:
+            parent = Path(path).parent
+            found = next(p for p in (parent, *parent.parents) if p.exists())
+            if not found.is_dir():
+                raise NotADirectoryError(f"{found} is not a directory")
 
 
 @contextlib.contextmanager
@@ -586,11 +631,13 @@ def _replacing_writer(path: str | Path):
     """Handle on a temporary file that replaces ``path`` only on success, so
     a failed write keeps the old file and mapped readers never see it shrink.
 
-    Applies ``_make_parents`` first, so a blocked parent fails there, naming
-    it, and not at the hidden temporary file.
+    Applies ``_check_parents`` first, so a blocked parent fails there,
+    naming it, and not at the hidden temporary file; then makes the missing
+    parents, the only place any is made.
     """
     path = Path(path)
-    _make_parents(path)
+    _check_parents(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -603,18 +650,20 @@ def _replacing_writer(path: str | Path):
 
 def _write_blocks(path: str | Path, header: bytes, *blocks: tuple) -> None:
     """``header`` (all of a text artifact), then each ``(values, dtype)``
-    block's items in C order, stored as ``dtype``.  Values already of that
-    dtype go out from their own buffer in one call; others are converted
+    block's items in C order, stored as ``dtype``; ``values`` is an array or
+    an iterable of array chunks.  An array or chunk already of that dtype
+    goes out from its own buffer in one call; others are converted
     ``_WRITE_CHUNK`` items at a time: no full-length converted copy."""
     with _replacing_writer(path) as fh:
         fh.write(header)
         for values, dtype in blocks:
-            if values.dtype == dtype:  # the array's own buffer: no bytes copy
-                fh.write(np.ascontiguousarray(values).data)
-            else:
-                flat = np.ravel(values)
-                for lo in range(0, flat.size, _WRITE_CHUNK):
-                    fh.write(flat[lo : lo + _WRITE_CHUNK].astype(dtype).data)
+            for part in (values,) if isinstance(values, np.ndarray) else values:
+                if part.dtype == dtype:  # the array's own buffer: no bytes copy
+                    fh.write(np.ascontiguousarray(part).data)
+                else:
+                    flat = np.ravel(part)
+                    for lo in range(0, flat.size, _WRITE_CHUNK):
+                        fh.write(flat[lo : lo + _WRITE_CHUNK].astype(dtype).data)
 
 
 def _write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
@@ -664,13 +713,49 @@ def _check_size(size: int, expected: int, payload: str) -> None:
         raise FormatError(f"trailing bytes after {payload}")
 
 
+def _cache_header(cache: AccuracyCache, num_samples: int) -> bytes:
+    flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
+    return _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, cache.num_models, num_samples, flags)
+
+
 def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     """Write the cache in the LLBC binary format (little-endian)."""
-    m, n = cache.num_models, cache.num_samples
-    flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
-    header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, n, flags)
     conf = [] if cache.confidence is None else [(cache.confidence, "<f4")]
-    _write_blocks(path, header, (cache.bits, "u1"), *conf)
+    _write_blocks(path, _cache_header(cache, cache.num_samples), (cache.bits, "u1"), *conf)
+
+
+def _grown_chunks(
+    block: np.ndarray, col: np.ndarray, width: int, n: int, grow
+) -> Iterable[np.ndarray]:
+    """The rows of ``block`` grown by ``col`` to ``width`` items, as one
+    reused buffer of at most ``_GROW_CHUNK_BYTES``, or one row, refilled by
+    ``grow`` for each chunk of rows."""
+    step = max(1, _GROW_CHUNK_BYTES // max(1, width * block.itemsize))
+    buf = np.empty((min(step, len(block)), width), dtype=block.dtype)
+    for lo in range(0, len(block), step):
+        out = buf[: min(step, len(block) - lo)]
+        grow(out, block[lo : lo + step], col[lo : lo + step], n)
+        yield out
+
+
+def save_appended_cache(
+    cache: AccuracyCache,
+    path: str | Path,
+    col: np.ndarray,
+    confidence_col: np.ndarray | None = None,
+) -> None:
+    """Write ``cache.append_column(col, confidence_col)`` as LLBC without
+    building it: the grown rows, then the grown confidences, are made from
+    ``cache``'s own (possibly mapped) arrays a bounded chunk at a time.
+    ``path`` may be the file ``cache`` was loaded from."""
+    col, confidence_col = cache._new_column(col, confidence_col)
+    n = cache.num_samples
+    bits = _grown_chunks(cache.bits, col, _row_bytes(n + 1), n, _grow_bits)
+    conf = []
+    if confidence_col is not None:
+        grown = _grown_chunks(cache.confidence, confidence_col, n + 1, n, _grow_confidence)
+        conf = [(grown, "<f4")]
+    _write_blocks(path, _cache_header(cache, n + 1), (bits, "u1"), *conf)
 
 
 def _map_block(path: str | Path, dtype: str, shape: tuple, offset: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .baseline import copy_nearest_expand_from_truth
 from .cache import (
     SortMethod,
     SortResult,
-    _make_parents,
+    _check_parents,
     _read_json,
     _read_outcomes,
     _write_json,
@@ -32,6 +32,7 @@ from .cache import (
     load_cache,
     load_permutation,
     load_sums,
+    save_appended_cache,
     save_cache,
     save_permutation,
     save_sums,
@@ -79,13 +80,19 @@ def _command_oracle(command: str):
     argv = shlex.split(command)
 
     def oracle(index: int) -> bool:
-        proc = subprocess.run(
-            argv + [str(index)], capture_output=True, text=True, check=True
-        )
+        proc = subprocess.run(argv + [str(index)], capture_output=True)
+        if proc.returncode:  # negative: the signal that ended it
+            said = proc.stderr.decode(errors="replace").strip().splitlines()
+            last = f": {said[-1].strip()}" if said else ""
+            raise RuntimeError(
+                f"oracle command failed on index {index} "
+                f"with exit status {proc.returncode}{last}"
+            )
         answer = proc.stdout.strip()
-        if answer not in ("0", "1"):
-            raise ValueError(f"oracle command returned {answer!r}, expected 0 or 1")
-        return answer == "1"
+        if answer not in (b"0", b"1"):
+            text = answer.decode(errors="replace")
+            raise ValueError(f"oracle command returned {text!r}, expected 0 or 1")
+        return answer == b"1"
 
     return oracle
 
@@ -111,7 +118,7 @@ def _derived_seed(seed: int, *parts: int) -> int:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
-    _make_parents(args.out)  # fail before the CSV is read
+    _check_parents(args.out)  # fail before the CSV is read
     cache = import_csv(args.csv, has_confidence=args.confidence)
     save_cache(cache, args.out)
     print(f"wrote {cache.num_models}x{cache.num_samples} cache to {args.out}")
@@ -124,7 +131,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             f"--out {args.out} is its own totals sidecar; "
             "give the permutation another suffix, such as .llpm"
         )
-    _make_parents(args.out, _sums_path(args.out))  # fail before the cache is read
+    _check_parents(args.out, _sums_path(args.out))  # fail before the cache is read
     cache = load_cache(args.cache)
     if args.method == "sum":
         result = sort_by_sum(cache)
@@ -153,7 +160,7 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     else:
         oracle = _command_oracle(args.oracle_cmd)
     out_dir = Path(args.out)
-    _make_parents(out_dir / "curve.csv")  # fail before any oracle query
+    _check_parents(out_dir / "curve.csv")  # fail before any oracle query
 
     reports = []
     for budget in budgets:
@@ -177,7 +184,7 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         raise ValueError("cache has no models to rank")
     model_sort = sort_models_by_sum(cache)
     strategy = SamplingStrategy(args.strategy)
-    _make_parents(args.report, args.append_out)
+    _check_parents(args.report, args.append_out)
     budget = args.budget
     if args.outcomes is not None:
         outcomes = _read_outcomes(args.outcomes, cache.num_models, "outcomes")
@@ -202,7 +209,7 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         column[order[: pred.k]] = True
         # a stored confidence binarizes at 0.5, so 0/1 round-trips the column
         confidence = None if cache.confidence is None else column.astype(np.float32)
-        save_cache(cache.append_column(column, confidence), args.append_out)
+        save_appended_cache(cache, args.append_out, column, confidence)
     return 0
 
 
@@ -254,7 +261,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     strategy = SamplingStrategy(args.strategy)
     run_baseline = not args.skip_baseline
     out_dir = Path(args.out)
-    _make_parents(out_dir / "curve.csv", args.save_cache)
+    _check_parents(out_dir / "curve.csv", args.save_cache)
     # rows, then held-out models; the pool starts a worker only when a task
     # finds none idle, so LLEVAL_THREADS past the work starts no extra thread
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -26,6 +26,7 @@ from lleval import (
     load_cache,
     load_permutation,
     load_sums,
+    save_appended_cache,
     save_cache,
     save_permutation,
     save_sums,
@@ -33,6 +34,7 @@ from lleval import (
     write_error_curve,
 )
 import lleval
+import lleval.cache
 from lleval.cache import (
     _SLICE_BYTES, _TILE_BYTES, _WRITE_CHUNK, _write_blocks, _write_rows,
 )
@@ -195,6 +197,54 @@ class TestAppend:
         path = tmp_path / "grown.llbc"
         save_cache(grown, path)
         assert load_cache(path) == grown
+
+    @pytest.mark.parametrize("confidence", [False, True])
+    @pytest.mark.parametrize("n", [0, 16, 19, 23])  # n % 8 in {0, 3, 7}
+    def test_streamed_append_is_save_of_append_column(
+        self, tmp_path, monkeypatch, n, confidence
+    ):
+        rng = np.random.default_rng(n)
+        path = tmp_path / "cache.llbc"
+        save_cache(random_cache(rng, 11, n, confidence), path)
+        cache = load_cache(path)  # grown from the mapped file
+        col = rng.random(11) < 0.5
+        conf = rng.random(11).astype(np.float32) if confidence else None
+        want = tmp_path / "want.llbc"
+        save_cache(cache.append_column(col, conf), want)
+        # a chunk of two rows, and one row when a row is wider than a chunk
+        for chunk in (2 * (n // 8 + 1), 1, 1 << 20):
+            monkeypatch.setattr(lleval.cache, "_GROW_CHUNK_BYTES", chunk)
+            save_appended_cache(cache, tmp_path / "got.llbc", col, conf)
+            assert (tmp_path / "got.llbc").read_bytes() == want.read_bytes(), chunk
+        save_appended_cache(cache, path, col, conf)  # onto the mapped input
+        assert path.read_bytes() == want.read_bytes()
+
+    def test_streamed_append_of_no_models(self, tmp_path):
+        empty = AccuracyCache(0, 7, np.zeros((0, 1), np.uint8))
+        save_appended_cache(empty, tmp_path / "got.llbc", np.zeros(0, bool))
+        assert load_cache(tmp_path / "got.llbc") == empty.append_column(np.zeros(0, bool))
+
+    @pytest.mark.parametrize(
+        "confidence, col, conf, message",
+        [
+            (False, [1, 0, 1], [1.0, 0.0, 1.0], "confidence_col not allowed"),
+            (True, [1, 0, 1], None, "confidence_col required"),
+            (True, [1, 0, 1], [1.0, 0.0], r"shape \(2,\) does not match 3"),
+            (True, [1, 0, 1], [1.0, np.nan, 1.0], r"lie in \[0, 1\]"),
+            (True, [1, 0, 1], [1.0, 0.0, 1.5], r"lie in \[0, 1\]"),
+            (False, [1, 2, 1], None, "0 or 1"),
+            (False, [1, 0], None, "length"),
+        ],
+    )
+    def test_new_column_checked_by_both_appends(
+        self, tmp_path, confidence, col, conf, message
+    ):
+        cache = random_cache(np.random.default_rng(5), 3, 9, confidence)
+        with pytest.raises(ValueError, match=message):
+            cache.append_column(np.array(col), conf)
+        with pytest.raises(ValueError, match=message):
+            save_appended_cache(cache, tmp_path / "got.llbc", np.array(col), conf)
+        assert list(tmp_path.iterdir()) == []
 
     def test_append_across_byte_boundary(self):
         cache = AccuracyCache.from_dense(np.ones((1, 8), dtype=bool))
@@ -537,6 +587,18 @@ class TestColumnSums:
             assert sums.dtype == np.int64
             assert np.array_equal(sums, dense.sum(axis=1))
 
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    @pytest.mark.parametrize("n", [0, 128, 129, 135, 136, 191])  # n % 64: 0, 1, 7, 8, 63
+    @pytest.mark.parametrize("chunk", [64, 1 << 20])  # 37 rows: 19 chunks, or 1
+    def test_row_sums_match_byte_popcounts(self, monkeypatch, m, n, chunk):
+        monkeypatch.setattr(lleval.cache, "_POPCOUNT_CHUNK_BYTES", chunk)
+        cache = packed_cache(m, n, seed=m + n)
+        sums = cache.row_sums()
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, np.bitwise_count(cache.bits).sum(axis=1))
+        if m:
+            assert np.array_equal(packed_cache(m, n).row_sums(), np.full(m, n))
+
 
 def _csv_rows(path):
     with path.open(newline="") as fh:
@@ -691,6 +753,11 @@ class TestPersistence:
         path = tmp_path / "blocks"
         _write_blocks(path, b"HEAD", *[(b, b.dtype) for b in blocks], *converted)
         want = [b.tobytes() for b in blocks] + [v.astype(d).tobytes() for v, d in converted]
+        assert path.read_bytes() == b"HEAD" + b"".join(want)
+        # the same blocks given as iterables of chunks
+        chunked = [(iter(np.array_split(b, 3)), b.dtype) for b in blocks]
+        chunked += [((v[:7], v[7:]), d) for v, d in converted]
+        _write_blocks(path, b"HEAD", *chunked)
         assert path.read_bytes() == b"HEAD" + b"".join(want)
 
     @pytest.mark.parametrize("kind", ["permutation", "sums"])

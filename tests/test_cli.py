@@ -365,6 +365,61 @@ class TestInsertSample:
         assert np.array_equal(grown.to_dense()[:, :60], dense)
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
+    @pytest.mark.parametrize("confidence", [False, True])
+    @pytest.mark.parametrize("n", [16, 19, 23])  # n % 8 in {0, 3, 7}
+    def test_streamed_append_out_is_save_of_append_column(self, tmp_path, n, confidence):
+        rng = np.random.default_rng(n)
+        conf = rng.random((9, n)).astype(np.float32)
+        cache = AccuracyCache.from_dense(conf >= 0.5, conf if confidence else None)
+        cache_path = tmp_path / "cache.llbc"
+        save_cache(cache, cache_path)
+        outcomes_path = tmp_path / "col.csv"
+        write_vector(outcomes_path, rng.random(9) < 0.5)
+        grown_path, report_path = tmp_path / "grown.llbc", tmp_path / "r.json"
+        assert main(["insert-sample", "--cache", str(cache_path),
+                     "--outcomes", str(outcomes_path), "--budget", "4",
+                     "--report", str(report_path),
+                     "--append-out", str(grown_path)]) == 0
+        k = json.loads(report_path.read_text())["difficulty_rank"]
+        column = np.zeros(9, dtype=bool)
+        column[sort_models_by_sum(cache).permutation.order[:k]] = True
+        want = tmp_path / "want.llbc"
+        save_cache(cache.append_column(column, column.astype(np.float32)
+                                       if confidence else None), want)
+        assert grown_path.read_bytes() == want.read_bytes()
+
+    def test_append_out_memory_is_one_chunk(self, tmp_path):
+        """Ranking the models of a 16.8 MB cache and writing it grown hold
+        one chunk and length-m arrays, never the cache."""
+        import tracemalloc
+
+        from lleval.cache import _GROW_CHUNK_BYTES, _POPCOUNT_CHUNK_BYTES
+
+        m, n = 128, 1_048_579
+        rng = np.random.default_rng(93)
+        bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
+        bits[:, -1] &= (1 << n % 8) - 1
+        assert bits.nbytes >= 16 << 20
+        cache_path = tmp_path / "cache.llbc"
+        save_cache(AccuracyCache(m, n, bits), cache_path)
+        del bits
+        outcomes_path = tmp_path / "col.csv"
+        write_vector(outcomes_path, rng.random(m) < 0.5)
+        argv = ["insert-sample", "--cache", str(cache_path),
+                "--outcomes", str(outcomes_path), "--budget", "16",
+                "--report", str(tmp_path / "r.json"),
+                "--append-out", str(tmp_path / "grown.llbc")]
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rc == 0
+        assert load_cache(tmp_path / "grown.llbc").num_samples == n + 1
+        chunk = max(_POPCOUNT_CHUNK_BYTES, _GROW_CHUNK_BYTES)  # one at a time
+        assert peak - before <= 1024 * m + chunk + (1 << 20)  # the cache is 16.8 MB
+
     def test_append_to_confidence_cache(self, tmp_path):
         rng = np.random.default_rng(91)
         conf = rng.random((9, 20))
@@ -390,6 +445,54 @@ class TestInsertSample:
         assert np.array_equal(grown.confidence[:, 20], outcomes.astype(np.float32))
         assert np.array_equal(grown.confidence[:, :20], cache.confidence)
         assert np.array_equal(grown.confidence >= 0.5, grown.to_dense())
+
+
+class TestOracleCommand:
+    """A failing ``--oracle-cmd`` call ends the command with one short line."""
+
+    @pytest.fixture
+    def asked(self, tmp_path):
+        return tmp_path / "asked.log"
+
+    def _oracle(self, asked, body):
+        log = f"open({str(asked)!r}, 'a').write(sys.argv[-1] + chr(10))"
+        # a long command, as an oracle given every model's answer would be
+        return f'{sys.executable} -c "import sys; {log}; {body}" ' + " ".join(["1"] * 500)
+
+    def _run(self, small_setup, command, oracle):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        if command == "eval-model":
+            argv = ["eval-model", "--perm", str(perm_path), "--budgets", "8",
+                    "--out", str(tmp_path / "eval")]
+        else:
+            argv = ["insert-sample", "--cache", str(cache_path), "--budget", "5"]
+        return main(argv + ["--oracle-cmd", oracle])
+
+    @pytest.mark.parametrize("command", ["eval-model", "insert-sample"])
+    def test_failure_names_index_status_and_last_stderr_line(
+        self, small_setup, capsys, asked, command
+    ):
+        crash = "sys.stderr.write('loading weights\\nmodel crashed\\n\\n'); sys.exit(3)"
+        assert self._run(small_setup, command, self._oracle(asked, crash)) == 1
+        (index,) = asked.read_text().split()
+        assert capsys.readouterr().err == (
+            f"error: oracle command failed on index {index} "
+            "with exit status 3: model crashed\n"
+        )
+
+    def test_failure_without_stderr(self, small_setup, capsys, asked):
+        assert self._run(small_setup, "eval-model", self._oracle(asked, "sys.exit(3)")) == 1
+        (index,) = asked.read_text().split()
+        assert capsys.readouterr().err == (
+            f"error: oracle command failed on index {index} with exit status 3\n"
+        )
+
+    def test_output_that_is_not_utf8(self, small_setup, capsys, asked):
+        answer = "sys.stdout.buffer.write(bytes([255, 10]))"
+        assert self._run(small_setup, "eval-model", self._oracle(asked, answer)) == 1
+        assert capsys.readouterr().err == (
+            "error: oracle command returned '\ufffd', expected 0 or 1\n"
+        )
 
 
 class TestSimulate:
@@ -746,6 +849,42 @@ class TestOutputDirectories:
             assert not (tmp_path / "sim").exists()  # no --out made before a failure
         if command == "insert-sample":
             assert not (tmp_path / "rank.json").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["import", "sort", "eval-model", "insert-sample", "simulate"]
+    )
+    def test_failure_after_the_check_makes_no_directory(
+        self, small_setup, capsys, monkeypatch, command
+    ):
+        import lleval.synthgen
+
+        tmp_path, dense, cache_path, perm_path = small_setup
+        new = tmp_path / "new"
+        fail = ["--oracle-cmd", f'{sys.executable} -c "import sys; sys.exit(3)"']
+        if command == "import":
+            argv = ["import", "--csv", str(tmp_path / "missing.csv"),
+                    "--out", str(new / "c.llbc")]
+        elif command == "sort":
+            argv = ["sort", "--cache", str(tmp_path / "missing.llbc"),
+                    "--out", str(new / "s.llpm")]
+        elif command == "eval-model":
+            argv = ["eval-model", "--perm", str(perm_path), "--budgets", "8", *fail,
+                    "--out", str(new / "eval")]
+        elif command == "insert-sample":
+            argv = ["insert-sample", "--cache", str(cache_path), "--budget", "5", *fail,
+                    "--report", str(new / "a" / "r.json"),
+                    "--append-out", str(new / "b" / "g.llbc")]
+        else:
+            def generate(*args, **kwargs):
+                raise ValueError("generator failed")
+
+            monkeypatch.setattr(lleval.synthgen, "generate", generate)
+            argv = ["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
+                    "--budgets", "8", "--out", str(new / "sim"),
+                    "--save-cache", str(new / "gen" / "c.llbc")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not new.exists()
 
     def test_sort_output_that_is_its_own_sidecar_is_refused(
         self, small_setup, capsys, monkeypatch
