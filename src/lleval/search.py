@@ -55,6 +55,28 @@ class SampleSelection:
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "strategy", SamplingStrategy(self.strategy))
 
+    @classmethod
+    def _built(
+        cls,
+        positions: np.ndarray,
+        outcomes: np.ndarray,
+        strategy: SamplingStrategy,
+        seed: int | None,
+    ) -> SampleSelection:
+        """A selection of the 1-D int64 ``positions`` that this module has just
+        built, strictly increasing and non-negative by construction, and of
+        their checked bool ``outcomes``: frozen without the constructor's
+        checks.  Every other selection, a loaded one included, goes through
+        ``SampleSelection(...)``."""
+        selection = object.__new__(cls)
+        for name, array in (("positions", positions), ("outcomes", outcomes)):
+            array = array.view()
+            array.flags.writeable = False
+            object.__setattr__(selection, name, array)
+        object.__setattr__(selection, "strategy", strategy)
+        object.__setattr__(selection, "seed", seed)
+        return selection
+
     @property
     def budget(self) -> int:
         return self.positions.size
@@ -72,8 +94,9 @@ def random_positions(total: int, budget: int, seed: int) -> np.ndarray:
     """budget distinct positions without replacement, sorted ascending."""
     if not 1 <= budget <= total:
         raise ValueError(f"budget {budget} outside [1, {total}]")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(total, size=budget, replace=False)).astype(np.int64)
+    positions = np.random.default_rng(seed).choice(total, size=budget, replace=False)
+    positions.sort()
+    return positions.astype(np.int64, copy=False)
 
 
 def dp_search(observations: np.ndarray) -> ThresholdVector:
@@ -106,7 +129,6 @@ def extrapolate(selection: SampleSelection, total: int) -> ThresholdVector:
 def _pick_positions(
     total: int, budget: int, strategy: SamplingStrategy, seed: int | None
 ) -> np.ndarray:
-    strategy = SamplingStrategy(strategy)
     if strategy is SamplingStrategy.UNIFORM:
         return uniform_positions(total, budget)
     if seed is None:
@@ -138,10 +160,10 @@ def _evaluate(
     """Observe ``budget`` ranked positions at their original indices, extrapolate."""
     order = sort.permutation.order
     total = order.size
-    positions = _pick_positions(total, budget, strategy, seed)
-    outcomes = observe(order[positions])
     strategy = SamplingStrategy(strategy)
-    selection = SampleSelection(
+    positions = _pick_positions(total, budget, strategy, seed)
+    outcomes = _outcomes(observe(order[positions]), positions.size)
+    selection = SampleSelection._built(
         positions,
         outcomes,
         strategy,

@@ -71,13 +71,14 @@ _SPEC_TYPES = {
 }
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # out may be x itself: x is read for the last time before out is written.
     # exp(-|x|) never overflows; each sign takes the float steps of the
     # two-branch form 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)).  The
     # numerator is 1 where x >= 0 (there e <= 1) and e elsewhere (e >= 0).
     e = np.abs(x)
     np.exp(np.negative(e, out=e), out=e)
-    numerator = np.maximum(e, x >= 0)
+    numerator = np.maximum(e, x >= 0, out=out)
     e += 1.0
     numerator /= e
     return numerator
@@ -96,7 +97,7 @@ def _correct_probability(
 ) -> np.ndarray:
     x = ability - difficulties
     x /= spec.temperature
-    p = _sigmoid(x)
+    p = _sigmoid(x, out=x)  # x's buffer holds p: one float row fewer at once
     p *= 1.0 - spec.noise
     p += 0.5 * spec.noise
     return p
@@ -121,7 +122,7 @@ def generate(
             confidence[i] = p  # filled before from_rows checks it
         return np.random.default_rng([spec.seed, _ROW_STREAM, i]).random(n) < p
 
-    cache = AccuracyCache.from_rows(n, map(row, range(m)), confidence)
+    cache = AccuracyCache.from_rows(n, map(row, range(m)), confidence, num_rows=m)
     return cache, abilities, difficulties
 
 

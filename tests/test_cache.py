@@ -108,6 +108,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="0 or 1"):
             AccuracyCache.from_rows(2, [np.array([0, 2])])
 
+    def test_from_rows_num_rows(self):
+        dense = np.random.default_rng(14).random((5, 21)) < 0.5
+        want = AccuracyCache.from_dense(dense)
+        assert AccuracyCache.from_rows(21, iter(dense), num_rows=5) == want
+        with pytest.raises(ValueError, match="^more than 4 rows$"):
+            AccuracyCache.from_rows(21, iter(dense), num_rows=4)
+        with pytest.raises(ValueError, match="^5 rows where 6 were expected$"):
+            AccuracyCache.from_rows(21, iter(dense), num_rows=6)
+
     def test_first_models_is_the_leading_rows(self):
         rng = np.random.default_rng(13)
         dense = rng.random((6, 11)) < 0.5
@@ -296,6 +305,23 @@ class TestNearestRow:
                 dense = rng.random((m, n)) < rng.random()
                 cols = rng.permutation(n)[: int(rng.integers(1, n + 1))]
                 self.check(dense, cols, rng.random(cols.size) < 0.5)
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 200])
+    def test_fold_boundaries(self, m):
+        # every bit of A packed bytes observed: A gathered rows of counts up
+        # to 8, folded in 64-bit words.  Model 0 disagrees on every observed
+        # bit, so its true count 8 * A is the largest; a byte lane that summed
+        # 32 rows would wrap to 0 and make it the nearest.
+        rng = np.random.default_rng(95)
+        for blocks in (1, 15, 16, 17, 31, 32, 33, 2_003):
+            n = 8 * blocks + 8 * int(rng.integers(0, 3)) + int(rng.integers(0, 8))
+            at = np.sort(rng.choice(n // 8, size=blocks, replace=False))
+            cols = (8 * at[:, None] + np.arange(8)).ravel()
+            values = rng.random(cols.size) < 0.5
+            dense = rng.random((m, n)) < 0.5
+            dense[0, cols] = ~values
+            got = self.check(dense, cols, values)
+            assert m == 1 or got != 0
 
     def test_columns_in_padding_byte(self):
         rng = np.random.default_rng(91)

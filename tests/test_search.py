@@ -341,6 +341,49 @@ class TestEvaluateNewModel:
             evaluate_new_model(result, broken, budget=2)
 
 
+class TestSelectionsBuiltOnce:
+    """Evaluation builds its selection unchecked; it must equal the checked one."""
+
+    @pytest.mark.parametrize("strategy", list(SamplingStrategy))
+    def test_equal_to_checked_constructor(self, strategy):
+        rng = np.random.default_rng(65)
+        n = 203
+        result = sort_by_sum(AccuracyCache.from_dense(rng.random((5, n)) < 0.5))
+        order = result.permutation.order
+        truth = rng.random(n) < 0.5
+        random = strategy is SamplingStrategy.RANDOM
+        for budget in (1, 7, 8, 64, n):
+            positions = (
+                random_positions(n, budget, 11) if random else uniform_positions(n, budget)
+            )
+            want = SampleSelection(
+                positions, truth[order[positions]], strategy, 11 if random else None
+            )
+            runs = (
+                evaluate_new_model(result, lambda j: bool(truth[j]), budget, strategy, 11),
+                evaluate_from_truth(result, truth, budget, strategy, 11),
+            )
+            for pred, got in runs:
+                for name in ("positions", "outcomes"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert np.array_equal(a, b) and a.dtype == b.dtype
+                    assert a.flags.c_contiguous and not a.flags.writeable
+                    assert not b.flags.writeable
+                assert got.strategy is want.strategy is SamplingStrategy(strategy)
+                assert got.seed == want.seed
+                assert pred.k == extrapolate(want, n).k
+
+    @pytest.mark.parametrize("answer", [2, "0"])
+    def test_bad_answers_raise_as_before(self, answer):
+        result = monotone_sort_result(20)
+        message = "oracle answers entries must be 0 or 1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_new_model(result, lambda j: answer, 4)
+        truth = np.full(20, answer)
+        with pytest.raises(ValueError, match="^truth entries must be 0 or 1$"):
+            evaluate_from_truth(result, truth, 4)
+
+
 class TestEvaluateNewSample:
     def test_full_budget_matches_dp(self):
         rng = np.random.default_rng(65)

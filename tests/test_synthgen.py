@@ -1,5 +1,7 @@
 """Synthetic cache generation and held-out oracle consistency."""
 
+import hashlib
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -105,6 +107,25 @@ class TestGenerate:
         assert np.array_equal(got.confidence.view(np.uint32), want.confidence.view(np.uint32))
         assert np.array_equal(ab_got, ab_want) and np.array_equal(d_got, d_want)
 
+    def test_serial_peak_is_the_packed_cache_and_four_float_rows(self):
+        m, n = 300, 100_000
+        spec = SynthSpec(m, n, temperature=0.2, noise=0.05, seed=13)
+        generate(SynthSpec(2, 16))  # lazy imports and first-call set-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cache, _, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # rows are packed into one preallocated array, never gathered first
+        # and copied; a row in flight holds the difficulties and its temporaries
+        assert peak <= m * n // 8 + 4 * 8 * n
+        # the bits of this spec as rows were packed before preallocation
+        digest = hashlib.sha256(cache.bits.tobytes()).hexdigest()
+        assert digest == "e4e8ba3922800588796c44325f8237c310e1e8784d22fb1445f584f550fc64ea"
+
     def test_cache_invariants_hold(self):
         spec = SynthSpec(7, 29, seed=11)
         cache, _, _ = generate(spec)
@@ -205,6 +226,8 @@ class TestSigmoid:
             got = _sigmoid(x)
             assert np.array_equal(x, given, equal_nan=True)  # works on its own copy
             assert np.array_equal(got, want, equal_nan=True)
+            into = x.copy()  # as _correct_probability calls it, on its own buffer
+            assert np.array_equal(_sigmoid(into, out=into).view(np.uint64), got.view(np.uint64))
             # same bits wherever a number comes out (a NaN's sign may differ)
             number = ~np.isnan(want)
             assert np.array_equal(got[number].view(np.uint64), want[number].view(np.uint64))
