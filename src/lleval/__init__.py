@@ -48,7 +48,6 @@ from .search import (
 )
 from .sort import (
     objective,
-    recursive_sort_by_sum,
     sort_by_confidence_sum,
     sort_by_sum,
     sort_models_by_sum,
@@ -101,7 +100,6 @@ __all__ = [
     "prediction_to_dict",
     "random_positions",
     "rank_correlation",
-    "recursive_sort_by_sum",
     "save_appended_cache",
     "save_cache",
     "save_permutation",

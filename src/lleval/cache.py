@@ -49,7 +49,12 @@ _TILE_BYTES = 1 << 16
 # threshold, so each unpacked plane reuses heap memory instead of faulting
 # in fresh pages
 _SLICE_BYTES = 15 << 10
-_WRITE_CHUNK = 1 << 16  # items ``_write_blocks`` converts at once
+# items ``_write_blocks`` converts and bytes ``_read_outcomes`` reads at once
+_WRITE_CHUNK = 1 << 16
+# ``_read_outcomes``' class of each byte: 0 separator, 1 digit, 2 anything else
+_OUTCOME_BYTE = np.full(256, 2, np.uint8)
+_OUTCOME_BYTE[np.frombuffer(b" \t\n\v\f\r,", np.uint8)] = 0
+_OUTCOME_BYTE[np.frombuffer(b"01", np.uint8)] = 1
 
 
 class FormatError(ValueError):
@@ -188,8 +193,9 @@ def _add_rows(
     """Add packed ``rows`` into zeroed bit planes, one carry-save tree per
     binary digit of their number, so a remainder never ripples row by row.
 
-    Module-level functions, not closures: a recursive closure is a reference
-    cycle that would keep the mapped cache alive until the next collection.
+    Module-level functions, not closures: a closure that calls itself is a
+    reference cycle that would keep the mapped cache alive until the next
+    collection.
     """
     first = 0
     for d in reversed(range(len(planes))):
@@ -349,13 +355,10 @@ class AccuracyCache:
             raise IndexError(f"column index out of range [0, {self.num_samples})")
         return cols
 
-    def bits_at(self, cols: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Boolean (models, len(cols)) block of every model, or of ``rows``."""
+    def bits_at(self, cols: np.ndarray) -> np.ndarray:
+        """Boolean (models, len(cols)) block of every model."""
         cols = self._checked_columns(cols)
-        if rows is None:  # a plain slice; np.ix_ over every row is ~7x slower
-            block = self.bits[:, cols // 8]
-        else:
-            block = self.bits[np.ix_(rows, cols // 8)]
+        block = self.bits[:, cols // 8]
         # in place on the gathered copy: one block-sized array at a time
         block >>= (cols % 8).astype(np.uint8)
         block &= 1
@@ -617,7 +620,6 @@ class ThresholdVector:
 class SortMethod(str, Enum):
     SUM = "sum"
     CONFIDENCE_SUM = "conf"
-    RECURSIVE_SUM = "recursive"
 
 
 @dataclass(frozen=True, eq=False)
@@ -713,7 +715,24 @@ def _read_json(path: str | Path) -> dict:
 
 
 def _read_outcomes(path: str | Path, length: int, name: str) -> np.ndarray:
-    """``length`` 0/1 tokens separated by commas and/or whitespace."""
+    """``length`` 0/1 tokens separated by commas and/or whitespace.
+
+    Lone ``0``/``1`` bytes between ASCII separators are read as bytes, a
+    chunk at a time (``take`` builds no full-length index); any other file,
+    and so every error, goes through ``_read_tokens``.
+    """
+    data = np.frombuffer(Path(path).read_bytes(), np.uint8)
+    digit = np.empty(data.size, bool)
+    for lo in range(0, data.size, _WRITE_CHUNK):
+        # one byte past the chunk, to see a token run across its edge
+        kind = _OUTCOME_BYTE.take(data[lo : lo + _WRITE_CHUNK + 1])
+        if kind.max() > 1 or (kind[1:] & kind[:-1]).any():
+            return _read_tokens(path, length, name)
+        digit[lo : lo + _WRITE_CHUNK] = kind[:_WRITE_CHUNK]
+    return _outcomes(data[digit] == ord("1"), length, name)
+
+
+def _read_tokens(path: str | Path, length: int, name: str) -> np.ndarray:
     tokens = Path(path).read_text().replace(",", " ").split()
     for t, tok in enumerate(tokens):
         if tok not in ("0", "1"):

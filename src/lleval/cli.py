@@ -53,12 +53,7 @@ from .search import (
     prediction_from_dict,
     prediction_to_dict,
 )
-from .sort import (
-    recursive_sort_by_sum,
-    sort_by_confidence_sum,
-    sort_by_sum,
-    sort_models_by_sum,
-)
+from .sort import sort_by_confidence_sum, sort_by_sum, sort_models_by_sum
 
 PAPER_BUDGETS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 
@@ -133,12 +128,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         )
     _check_parents(args.out, _sums_path(args.out))  # fail before the cache is read
     cache = load_cache(args.cache)
-    if args.method == "sum":
-        result = sort_by_sum(cache)
-    elif args.method == "conf":
-        result = sort_by_confidence_sum(cache)
-    else:
-        result = recursive_sort_by_sum(cache, max_depth=args.depth)
+    rank = sort_by_sum if args.method == "sum" else sort_by_confidence_sum
+    result = rank(cache)
     save_permutation(result.permutation, args.out)
     save_sums(result.sums, _sums_path(args.out))
     print(f"wrote permutation of {len(result.permutation)} columns to {args.out}")
@@ -365,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sort", help="rank cache columns by difficulty")
     p.add_argument("--cache", required=True)
-    p.add_argument("--method", choices=["sum", "conf", "recursive"], default="sum")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--method", choices=["sum", "conf"], default="sum")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sort)
 

@@ -1,10 +1,8 @@
 """Difficulty ranking of cache columns and its stability under growth.
 
-All variants order columns easy-to-hard: descending per-column totals, ties
-broken by ascending original index; the cache computes the totals and this
-module only orders them.  Recursive refinement re-sorts tied groups using
-only the rows whose optimal cut falls inside the group, since no other row
-can tell the tied columns apart.
+The sum and confidence-sum rankings order columns easy-to-hard: descending
+per-column totals, ties broken by ascending original index; the cache
+computes the totals and this module only orders them.
 """
 
 from __future__ import annotations
@@ -67,15 +65,6 @@ def _sort_words(values: np.ndarray, vmax: int, shift: int, word: type) -> np.nda
     return words.view(np.int32 if word is np.uint32 else np.int64)
 
 
-def _tied_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [lo, hi] runs of equal adjacent values with at least 2 items."""
-    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
-    edges = np.concatenate(([0], edges, [values.size]))
-    lo, hi = edges[:-1], edges[1:]
-    tied = hi - lo >= 2
-    return list(zip(lo[tied].tolist(), (hi[tied] - 1).tolist()))
-
-
 def _ranked(totals: np.ndarray, method: SortMethod) -> SortResult:
     """Rank by ``totals``, which it sorts in place into rank order: no
     ``totals[order]`` gather (a third length-n array) is needed, and the
@@ -134,42 +123,6 @@ def objective(
             raise ValueError("threshold length does not match cache columns")
         total += RankedTruth(cache.row(i), perm).mismatches(tv.k)
     return total / (m * n)
-
-
-def recursive_sort_by_sum(cache: AccuracyCache, max_depth: int = 2) -> SortResult:
-    """Sum ranking with iterative tie refinement.
-
-    Each extra depth recomputes per-row optimal cuts on the current order,
-    then re-sorts every tied column group by its totals over the rows whose
-    cut splits that group (stable; groups with no such row keep their
-    order).  Ties that survive stay eligible for the next depth.
-    """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    base = sort_by_sum(cache)
-    if max_depth == 1 or cache.num_samples == 0:
-        return SortResult(base.permutation, base.sums, SortMethod.RECURSIVE_SUM)
-    # int64: numpy gathers through an int32 index about 1.5x slower
-    order = np.array(base.permutation.order, dtype=np.int64)
-    blocks = _tied_runs(base.sums)
-    depth = 1
-    while blocks and depth < max_depth:
-        depth += 1
-        ks = np.array([t.k for t in threshold_all_rows(cache, Permutation(order))])
-        next_blocks: list[tuple[int, int]] = []
-        for lo, hi in blocks:
-            rows = np.flatnonzero((ks > lo) & (ks <= hi))
-            if rows.size == 0:
-                next_blocks.append((lo, hi))
-                continue
-            cols = order[lo : hi + 1]
-            sub = cache.bits_at(cols, rows).sum(axis=0, dtype=np.int64)
-            within = _sort_descending(sub)
-            order[lo : hi + 1] = cols[within]
-            for l2, h2 in _tied_runs(sub):
-                next_blocks.append((lo + l2, lo + h2))
-        blocks = next_blocks
-    return SortResult(Permutation(order), base.sums, SortMethod.RECURSIVE_SUM)
 
 
 def stable_append(sort: SortResult, predicted: ThresholdVector) -> SortResult:

@@ -104,7 +104,7 @@ class TestSort:
             )
             == 0
         )
-        for method in ("sum", "conf", "recursive"):
+        for method in ("sum", "conf"):
             out = tmp_path / f"{method}.llpm"
             assert (
                 main(
@@ -283,7 +283,15 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [[], ["rank"], ["sort", "--cache", "c.llbc"], ["sort", "--depth", "x"]],
+        [
+            [],
+            ["rank"],
+            ["sort", "--cache", "c.llbc"],
+            ["sort", "--depth", "x"],
+            # sort offers neither a recursive method nor --depth
+            ["sort", "--cache", "c.llbc", "--out", "o.llpm", "--method", "recursive"],
+            ["sort", "--cache", "c.llbc", "--out", "o.llpm", "--depth", "2"],
+        ],
     )
     def test_one_line(self, capsys, argv):
         assert main(argv) == 2
@@ -938,20 +946,14 @@ class TestGoldenArtifacts:
         "report_30.json": "39f7a29761724d3c1a366f7738fd7f8ef8ec32b137fe846fc1f4bf2467c7ba6c",
         "report_60.json": "ac970376a679f2cc34de1190d13bbd82f4d110a3b6430eb7fe33504da5d346ce",
     }
-    # recursive refinement reorders ties but keeps the plain sums
-    SUMS = "d40a58e6870391b44bf7581dc141638756e5ce0ae398654ffaa60ff105484a19"
     SORT = {
         "sum": {
             "rank.llpm": "a512126288f92f2197bde3ca354d871ef3e7fe0d936899e5aaa246c73118faea",
-            "rank.llsm": SUMS,
+            "rank.llsm": "d40a58e6870391b44bf7581dc141638756e5ce0ae398654ffaa60ff105484a19",
         },
         "conf": {
             "rank.llpm": "360fc53935b4ca9e3891547fc4bd78ca670e8eb3e482a88d264f6a58afd94176",
             "rank.llsm": "451fd6a5fb723a9d54422495e55f0dcaedf2565473213c2049670b24a5517b6d",
-        },
-        "recursive": {
-            "rank.llpm": "696daa5609ab1f97e28dec15f24451064c5e2caa630b0929a1adfb3a3de9a613",
-            "rank.llsm": SUMS,
         },
     }
     INSERT_SAMPLE = {
@@ -996,12 +998,12 @@ class TestGoldenArtifacts:
         save_cache(cache, path)
         return path
 
-    @pytest.mark.parametrize("method", ["sum", "conf", "recursive"])
+    @pytest.mark.parametrize("method", ["sum", "conf"])
     def test_sort(self, tmp_path, confidence_cache, method):
         out_dir = tmp_path / "sort"
         out_dir.mkdir()
         rc = main(["sort", "--cache", str(confidence_cache), "--method", method,
-                   "--depth", "3", "--out", str(out_dir / "rank.llpm")])
+                   "--out", str(out_dir / "rank.llpm")])
         assert rc == 0
         assert _digests(out_dir) == self.SORT[method]
 

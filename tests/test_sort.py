@@ -13,7 +13,6 @@ from lleval import (
     load_permutation,
     load_sums,
     objective,
-    recursive_sort_by_sum,
     save_permutation,
     save_sums,
     sort_by_confidence_sum,
@@ -23,7 +22,7 @@ from lleval import (
     threshold_all_rows,
 )
 from lleval.cache import _POPCOUNT_CHUNK_BYTES, _TILE_BYTES
-from lleval.sort import _sort_descending, _tied_runs
+from lleval.sort import _sort_descending
 
 
 def cache_with_column_sums(sums):
@@ -224,93 +223,6 @@ class TestObjective:
             objective(cache, perm, [ThresholdVector(3, 1)])
 
 
-def exhaustive_objective(cache, order):
-    """Eq-style objective with brute-force optimal thresholds per row."""
-    m, n = cache.num_models, cache.num_samples
-    if m * n == 0:
-        return 0.0
-    total = sum(
-        best_threshold_error(cache.row(i)[order]) for i in range(m)
-    )
-    return total / (m * n)
-
-
-class TestRecursiveSort:
-    def test_distinct_sums_match_plain_sort(self):
-        cache = cache_with_column_sums([4, 1, 3, 2])
-        plain = sort_by_sum(cache)
-        for depth in (1, 2, 3, 5):
-            rec = recursive_sort_by_sum(cache, max_depth=depth)
-            assert np.array_equal(rec.permutation.order, plain.permutation.order)
-            assert np.array_equal(rec.sums, plain.sums)
-            assert rec.method is SortMethod.RECURSIVE_SUM
-
-    def test_depth_one_equals_plain_sort(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            cache = AccuracyCache.from_dense(rng.random((4, 8)) < 0.5)
-            plain = sort_by_sum(cache)
-            rec = recursive_sort_by_sum(cache, max_depth=1)
-            assert np.array_equal(rec.permutation.order, plain.permutation.order)
-            assert np.array_equal(rec.sums, plain.sums)
-
-    def test_tie_pair_never_worse_than_either_order(self):
-        # exhaustively compare against both orders of a single tied pair
-        rng = np.random.default_rng(32)
-        found_pair = 0
-        while found_pair < 30:
-            dense = rng.random((4, 4)) < 0.5
-            cache = AccuracyCache.from_dense(dense)
-            plain = sort_by_sum(cache)
-            ties = [
-                (lo, lo + 1)
-                for lo in range(3)
-                if plain.sums[lo] == plain.sums[lo + 1]
-            ]
-            if len(ties) != 1 or np.unique(plain.sums).size != 3:
-                continue
-            found_pair += 1
-            lo, hi = ties[0]
-            rec = recursive_sort_by_sum(cache, max_depth=2)
-            kept = np.array(plain.permutation.order)
-            swapped = kept.copy()
-            swapped[[lo, hi]] = swapped[[hi, lo]]
-            candidates = [exhaustive_objective(cache, kept),
-                          exhaustive_objective(cache, swapped)]
-            achieved = exhaustive_objective(cache, rec.permutation.order)
-            assert achieved <= max(candidates) + 1e-12
-            assert achieved <= exhaustive_objective(cache, kept) + 1e-12
-
-    def test_objective_non_increasing_in_depth(self):
-        rng = np.random.default_rng(33)
-        for _ in range(60):
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(2, 17))
-            cache = AccuracyCache.from_dense(rng.random((m, n)) < rng.random())
-            values = [
-                exhaustive_objective(
-                    cache, recursive_sort_by_sum(cache, max_depth=d).permutation.order
-                )
-                for d in (1, 2, 3)
-            ]
-            assert values[1] <= values[0] + 1e-12
-            assert values[2] <= values[1] + 1e-12
-
-    def test_sums_stay_descending_column_sums(self):
-        rng = np.random.default_rng(34)
-        for _ in range(20):
-            cache = AccuracyCache.from_dense(rng.random((5, 12)) < 0.5)
-            rec = recursive_sort_by_sum(cache, max_depth=3)
-            assert np.array_equal(
-                rec.permutation.apply(cache.column_sums()), rec.sums
-            )
-
-    def test_max_depth_validated(self):
-        cache = AccuracyCache.from_dense(np.ones((1, 1), dtype=bool))
-        with pytest.raises(ValueError):
-            recursive_sort_by_sum(cache, max_depth=0)
-
-
 class TestStableAppend:
     def test_hand_example(self):
         base = sort_by_sum(cache_with_column_sums([5, 3, 3, 1]))
@@ -477,26 +389,3 @@ class TestSortDescending:
         for n in (0, 1, 1000, 70_000):
             self.check(rng.integers(-40, 40, size=n) / 4.0)  # confidence sums
             self.check(np.full(n, 0.5))
-
-
-class TestTiedRuns:
-    @staticmethod
-    def brute(values):
-        runs, lo = [], 0
-        for i in range(1, len(values) + 1):
-            if i == len(values) or values[i] != values[lo]:
-                if i - lo >= 2:
-                    runs.append((lo, i - 1))
-                lo = i
-        return runs
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(52)
-        cases = [np.array([], dtype=np.int64), np.array([4]), np.full(9, 3)]
-        cases += [np.sort(rng.integers(0, 5, size=int(rng.integers(0, 30))))[::-1]
-                  for _ in range(100)]
-        cases += [rng.integers(0, 3, size=20) / 2.0 for _ in range(20)]
-        for values in cases:
-            got = _tied_runs(values)
-            assert got == self.brute(values)
-            assert all(type(x) is int for run in got for x in run)
