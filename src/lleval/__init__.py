@@ -58,7 +58,6 @@ from .synthgen import (
     SynthSpec,
     generate,
     holdout_abilities,
-    holdout_oracle,
     holdout_outcomes,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "fit_exp_decay",
     "generate",
     "holdout_abilities",
-    "holdout_oracle",
     "holdout_outcomes",
     "import_csv",
     "load_cache",

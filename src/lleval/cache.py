@@ -38,6 +38,10 @@ _IO_HEADER = struct.Struct("<4sIQ")  # magic, version, length
 
 _INT32_MAX = np.iinfo(np.int32).max
 
+# held while ``nearest_row`` fetches or builds a cache's transposed copy, so
+# threads sharing one cache build it once, not once each
+_BYTE_COLUMNS_LOCK = threading.Lock()
+
 # packed bytes popcounted at once by ``row_sums``: bounds that scratch
 _POPCOUNT_CHUNK_BYTES = 1 << 20
 # bytes of grown rows ``save_appended_cache`` builds at once
@@ -244,9 +248,9 @@ class AccuracyCache:
     num_samples: int
     bits: np.ndarray
     confidence: np.ndarray | None = None
-    # bits.T, contiguous, from the first ``nearest_row`` call: a plain lazy field,
-    # as the pre-3.12 lock of ``functools.cached_property`` would serialise
-    # ``simulate``'s threads; threads racing on it build equal arrays
+    # bits.T, contiguous, built by the first ``nearest_row`` call under
+    # ``_BYTE_COLUMNS_LOCK``: ``functools.cached_property`` takes no lock from
+    # Python 3.12, so threads sharing a cache would each build one
     _byte_columns: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -287,27 +291,18 @@ class AccuracyCache:
     ) -> "AccuracyCache":
         """Pack 0/1 rows of length ``num_samples``, reading one row at a time.
 
-        Where the row count is known, ``num_rows`` or ``len(rows)``, each row
-        is packed into place in the one m * n / 8 byte array; otherwise the
-        packed rows are gathered first and copied into it.
+        ``num_rows``, or else ``len(rows)``, sizes the one m * n / 8 byte
+        array that each row is packed into in place.
         """
-
-        def packed(row: np.ndarray) -> np.ndarray:
-            return np.packbits(_outcomes(row, num_samples, "row"), bitorder="little")
-
-        rb = _row_bytes(num_samples)
-        if num_rows is None and hasattr(rows, "__len__"):
-            num_rows = len(rows)
         if num_rows is None:
-            gathered = [packed(row) for row in rows]
-            bits = np.array(gathered, dtype=np.uint8).reshape(len(gathered), rb)
-            return cls(len(gathered), num_samples, bits, confidence)
-        bits = np.empty((num_rows, rb), dtype=np.uint8)
+            num_rows = len(rows)
+        bits = np.empty((num_rows, _row_bytes(num_samples)), dtype=np.uint8)
         count = 0
         for count, row in enumerate(rows, 1):
             if count > num_rows:
                 raise ValueError(f"more than {num_rows} rows")
-            bits[count - 1] = packed(row)
+            row = _outcomes(row, num_samples, "row")
+            bits[count - 1] = np.packbits(row, bitorder="little")
         if count != num_rows:
             raise ValueError(f"{count} rows where {num_rows} were expected")
         return cls(num_rows, num_samples, bits, confidence)
@@ -383,12 +378,13 @@ class AccuracyCache:
         wanted[cols] = values
         mask = np.packbits(held, bitorder="little")
         at = np.flatnonzero(mask)
-        columns = self._byte_columns
-        if columns is None:
-            m = self.num_models
-            columns = np.zeros((self.bits.shape[1], -(-m // 8) * 8), np.uint8)
-            columns[:, :m] = self.bits.T
-            object.__setattr__(self, "_byte_columns", columns)
+        with _BYTE_COLUMNS_LOCK:
+            columns = self._byte_columns
+            if columns is None:
+                m = self.num_models
+                columns = np.zeros((self.bits.shape[1], -(-m // 8) * 8), np.uint8)
+                columns[:, :m] = self.bits.T
+                object.__setattr__(self, "_byte_columns", columns)
         diff = columns.take(at, axis=0)
         diff ^= np.packbits(wanted, bitorder="little")[at, None]
         diff &= mask[at, None]

@@ -214,40 +214,24 @@ def _thread_count() -> int:
     return int(raw) or (os.cpu_count() or 1)
 
 
-# generator flags that --spec-json replaces; each defaults to None
-_SPEC_FLAGS = ("models", "samples", "seed", "tau", "noise", "ability_lo", "ability_hi")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .synthgen import SynthSpec, generate
 
-    given = [name for name in _SPEC_FLAGS if getattr(args, name) is not None]
-    if args.spec_json and given:
-        flag = "--" + given[0].replace("_", "-")
-        _usage_error(f"argument {flag}: not allowed with argument --spec-json")
     threads = _thread_count()
     if args.holdout < 1:
         raise ValueError("--holdout must be at least 1")
-    if args.spec_json:
-        spec = SynthSpec.from_dict(_read_json(args.spec_json))
-        if spec.num_models <= args.holdout:
-            raise ValueError("spec num_models must exceed --holdout")
-    else:
-        if args.models is None or args.samples is None:
-            raise ValueError("either --spec-json or --models/--samples required")
-        if args.models < 1:
-            raise ValueError("--models must be at least 1")
-        lo, hi = SynthSpec.ability_range
-        lo = lo if args.ability_lo is None else args.ability_lo
-        hi = hi if args.ability_hi is None else args.ability_hi
-        options = {"temperature": args.tau, "noise": args.noise, "seed": args.seed}
-        spec = SynthSpec(
-            num_models=args.models + args.holdout,
-            num_samples=args.samples,
-            ability_range=(lo, hi),
-            **{name: value for name, value in options.items() if value is not None},
-        )
-    models = spec.num_models - args.holdout
+    if args.models < 1:
+        raise ValueError("--models must be at least 1")
+    lo, hi = SynthSpec.ability_range
+    lo = lo if args.ability_lo is None else args.ability_lo
+    hi = hi if args.ability_hi is None else args.ability_hi
+    options = {"temperature": args.tau, "noise": args.noise, "seed": args.seed}
+    spec = SynthSpec(
+        num_models=args.models + args.holdout,
+        num_samples=args.samples,
+        ability_range=(lo, hi),
+        **{name: value for name, value in options.items() if value is not None},
+    )
     budgets = _parse_budgets(args.budgets, spec.num_samples)
     strategy = SamplingStrategy(args.strategy)
     run_baseline = not args.skip_baseline
@@ -259,11 +243,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cache_full, _, _ = generate(spec, map=pool.map)
         if args.save_cache:
             save_cache(cache_full, args.save_cache)
-        sort_cache = cache_full.first_models(models)
+        sort_cache = cache_full.first_models(args.models)
         sort_result = sort_by_sum(sort_cache)
 
         def work(h: int) -> tuple[list[ErrorReport], list[float]]:
-            truth = cache_full.row(models + h)
+            truth = cache_full.row(args.models + h)
             scorer = RankedTruth(truth, sort_result.permutation)
             reports, baseline_maes = [], []
             for budget in budgets:
@@ -301,7 +285,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _write_json(out_dir / "fit.json", fit_record)
     summary = {
         "spec": spec.to_dict(),
-        "sort_models": models,
+        "sort_models": args.models,
         "holdout_models": args.holdout,
         "strategy": strategy.value,
         "budgets": budgets,
@@ -330,15 +314,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _usage_error(message: str) -> NoReturn:
-    """A usage error: one ``error:`` line, exit status 2."""
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
-        _usage_error(message)
+        """A usage error: one ``error:`` line, exit status 2."""
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,10 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_insert_sample)
 
     p = sub.add_parser("simulate", help="synthetic end-to-end budget sweep")
-    p.add_argument("--spec-json", help="generator parameters as a JSON file")
-    p.add_argument("--models", type=int, help="models used for sorting")
+    p.add_argument("--models", type=int, required=True, help="models used for sorting")
     p.add_argument("--holdout", type=int, required=True, help="models evaluated")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, required=True)
     p.add_argument("--tau", type=float)
     p.add_argument("--noise", type=float)
     p.add_argument("--ability-lo", type=float)

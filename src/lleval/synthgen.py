@@ -50,26 +50,6 @@ class SynthSpec:
     def to_dict(self) -> dict:
         return {**asdict(self), "ability_range": list(self.ability_range)}
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "SynthSpec":
-        """The record's fields converted to their types; defaults fill the rest.
-        A key that names no field is an error, not a silent default."""
-        unknown = sorted(set(record) - set(_SPEC_TYPES))
-        if unknown:
-            raise ValueError(f"unknown spec key {', '.join(map(repr, unknown))}")
-        return cls(**{k: t(record[k]) for k, t in _SPEC_TYPES.items() if k in record})
-
-
-# the type each SynthSpec field of a record converts to
-_SPEC_TYPES = {
-    "num_models": int,
-    "num_samples": int,
-    "ability_range": tuple,
-    "temperature": float,
-    "noise": float,
-    "seed": int,
-}
-
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # out may be x itself: x is read for the last time before out is written.
@@ -138,16 +118,6 @@ def holdout_outcomes(spec: SynthSpec, ability: float) -> np.ndarray:
         [spec.seed, _HOLDOUT_STREAM, _ability_key(ability)]
     ).random(spec.num_samples)
     return u < p
-
-
-def holdout_oracle(spec: SynthSpec, ability: float) -> Callable[[int], bool]:
-    """Per-sample query function for a held-out model; answers never change."""
-    outcomes = holdout_outcomes(spec, ability)
-
-    def oracle(sample_index: int) -> bool:
-        return bool(outcomes[sample_index])
-
-    return oracle
 
 
 def holdout_abilities(spec: SynthSpec, count: int) -> np.ndarray:

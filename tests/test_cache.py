@@ -95,7 +95,7 @@ class TestConstruction:
             dense = rng.random((m, n)) < 0.5
             conf = rng.random((m, n)).astype(np.float32)
             want = AccuracyCache.from_dense(dense, conf)
-            got = AccuracyCache.from_rows(n, (row for row in dense), conf)
+            got = AccuracyCache.from_rows(n, (row for row in dense), conf, num_rows=m)
             assert got == want
             assert got.bits.shape == want.bits.shape
             assert AccuracyCache.from_rows(n, dense.astype(np.uint8)) == (
@@ -112,6 +112,8 @@ class TestConstruction:
         dense = np.random.default_rng(14).random((5, 21)) < 0.5
         want = AccuracyCache.from_dense(dense)
         assert AccuracyCache.from_rows(21, iter(dense), num_rows=5) == want
+        with pytest.raises(TypeError, match="len"):  # unsized, with no count
+            AccuracyCache.from_rows(21, iter(dense))
         with pytest.raises(ValueError, match="^more than 4 rows$"):
             AccuracyCache.from_rows(21, iter(dense), num_rows=4)
         with pytest.raises(ValueError, match="^5 rows where 6 were expected$"):
@@ -423,6 +425,38 @@ class TestNearestRow:
                 assert answers == [expected] * workers
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_sharing_a_cache_build_one_copy(self):
+        # two threads miss the transposed copy together: one builds it, the
+        # other waits for it; two builds would hold twice its bytes at once
+        import tracemalloc
+
+        m, n = 64, 1 << 21
+        cache = AccuracyCache(m, n, np.zeros((m, n // 8), dtype=np.uint8))
+        cols = np.arange(0, n, 4099)
+        values = np.ones(cols.size, dtype=bool)
+        start = threading.Barrier(2)
+        answers = []
+
+        def work():
+            start.wait(timeout=30)
+            answers.append(cache.nearest_row(cols, values))
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert answers == [0, 0]
+        assert peak < 2 * cache._byte_columns.nbytes
 
 
 def _mentioning(pattern: str) -> list[str]:

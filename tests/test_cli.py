@@ -86,7 +86,7 @@ class TestSort:
             sums, dense.sum(axis=0)[perm.order].astype(float)
         )
 
-    def test_recursive_and_conf_methods(self, tmp_path):
+    def test_sum_and_conf_methods(self, tmp_path):
         conf = np.array([[0.9, 0.4, 0.6], [0.2, 0.8, 0.7]])
         csv_path = tmp_path / "m.csv"
         csv_path.write_text("\n".join(",".join(str(v) for v in r) for r in conf))
@@ -287,7 +287,9 @@ class TestUsageErrors:
             [],
             ["rank"],
             ["sort", "--cache", "c.llbc"],
-            ["sort", "--depth", "x"],
+            ["simulate", "--holdout", "1", "--out", "o"],
+            ["simulate", "--spec-json", "s.json", "--models", "9", "--holdout", "1",
+             "--samples", "8", "--out", "o"],
             # sort offers neither a recursive method nor --depth
             ["sort", "--cache", "c.llbc", "--out", "o.llpm", "--method", "recursive"],
             ["sort", "--cache", "c.llbc", "--out", "o.llpm", "--depth", "2"],
@@ -537,29 +539,22 @@ class TestSimulate:
         assert epi[-1] <= epi[0] + 1e-9
         assert max(epi[len(epi) // 2 :]) <= epi[0] + 1e-9
 
-    def test_spec_json_and_save_cache(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            json.dumps(
-                {
-                    "num_models": 30,
-                    "num_samples": 400,
-                    "ability_range": [0.0, 1.0],
-                    "temperature": 0.1,
-                    "noise": 0.05,
-                    "seed": 4,
-                }
-            )
-        )
+    def test_save_cache(self, tmp_path):
         out_dir = tmp_path / "sim"
         cache_path = tmp_path / "generated.llbc"
         rc = main(
             [
                 "simulate",
-                "--spec-json",
-                str(spec_path),
+                "--models",
+                "20",
                 "--holdout",
                 "10",
+                "--samples",
+                "400",
+                "--noise",
+                "0.05",
+                "--seed",
+                "4",
                 "--budgets",
                 "8,16,32,64",
                 "--save-cache",
@@ -569,9 +564,10 @@ class TestSimulate:
             ]
         )
         assert rc == 0
-        cache = load_cache(cache_path)
-        assert (cache.num_models, cache.num_samples) == (30, 400)
+        spec = SynthSpec(30, 400, noise=0.05, seed=4)
+        assert load_cache(cache_path) == generate(spec)[0]
         summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["spec"] == spec.to_dict()
         assert summary["sort_models"] == 20
         assert summary["holdout_models"] == 10
 
@@ -633,36 +629,6 @@ class TestSimulate:
         assert (tmp_path / "serial.llbc").read_bytes() == (
             tmp_path / "threaded.llbc"
         ).read_bytes()
-
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--models", "20"), ("--samples", "400"), ("--seed", "4"), ("--tau", "0.1"),
-         ("--noise", "0.05"), ("--ability-lo", "0.0"), ("--ability-hi", "1.0")],
-    )
-    def test_spec_json_rejects_generator_flags(self, tmp_path, capsys, flag, value):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"num_models": 30, "num_samples": 400}))
-        out_dir = tmp_path / "sim"
-        rc = main(["simulate", "--spec-json", str(spec_path), "--holdout", "10",
-                   "--save-cache", str(tmp_path / "generated.llbc"),
-                   flag, value, "--out", str(out_dir)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err == f"error: argument {flag}: not allowed with argument --spec-json\n"
-        assert not out_dir.exists()
-        assert not (tmp_path / "generated.llbc").exists()
-
-    def test_spec_json_unknown_key_is_one_error_line(self, tmp_path, capsys):
-        spec_path = tmp_path / "spec.json"
-        spec = {"num_models": 30, "num_samples": 500, "temprature": 5.0, "noize": 0.3}
-        spec_path.write_text(json.dumps(spec))
-        out_dir = tmp_path / "sim"
-        rc = main(["simulate", "--spec-json", str(spec_path), "--holdout", "10",
-                   "--out", str(out_dir)])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: unknown spec key 'noize', 'temprature'\n"
-        assert not out_dir.exists()
 
     SMALL_SWEEP = ["simulate", "--models", "12", "--holdout", "3", "--samples",
                    "200", "--seed", "4", "--budgets", "8,32"]

@@ -1,9 +1,9 @@
-"""Synthetic cache generation and held-out oracle consistency."""
+"""Synthetic cache generation and held-out outcome consistency."""
 
 import hashlib
+import json
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from lleval import (
     SynthSpec,
     generate,
     holdout_abilities,
-    holdout_oracle,
     holdout_outcomes,
     rank_correlation,
     sort_by_sum,
@@ -33,29 +32,9 @@ class TestSynthSpec:
 
     def test_json_round_trip(self):
         spec = SynthSpec(10, 20, (0.2, 0.8), 0.3, 0.1, 7)
-        assert SynthSpec.from_dict(spec.to_dict()) == spec
-
-    def test_from_dict_fills_defaults(self):
-        assert SynthSpec.from_dict({"num_models": 3, "num_samples": 5}) == SynthSpec(3, 5)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        record = {"num_models": 30, "num_samples": 500, "temprature": 5.0, "noize": 0.3}
-        with pytest.raises(ValueError, match="unknown spec key 'noize', 'temprature'$"):
-            SynthSpec.from_dict(record)
-
-    @pytest.mark.parametrize(
-        "key, value, expected",
-        [
-            ("ability_range", [0, 0.5], (0.0, 0.5)),
-            ("temperature", 2, 2.0),
-            ("noise", 0.25, 0.25),
-            ("seed", 9.0, 9),
-        ],
-    )
-    def test_from_dict_one_optional_key(self, key, value, expected):
-        spec = SynthSpec.from_dict({"num_models": 3, "num_samples": 5, key: value})
-        assert spec == replace(SynthSpec(3, 5), **{key: expected})
-        assert type(getattr(spec, key)) is type(expected)
+        record = json.loads(json.dumps(spec.to_dict()))
+        assert record["ability_range"] == [0.2, 0.8]
+        assert SynthSpec(**record) == spec  # the range converts back to a tuple
 
 
 class TestGenerate:
@@ -146,11 +125,9 @@ class TestHoldout:
 
     def test_repeated_queries_identical(self):
         spec = SynthSpec(5, 50, temperature=0.2, noise=0.3, seed=4)
-        oracle = holdout_oracle(spec, ability=0.5)
-        first = [oracle(j) for j in range(50)]
-        second = [oracle(j) for j in range(50)]
-        assert first == second
-        assert first == list(holdout_outcomes(spec, 0.5))
+        first = holdout_outcomes(spec, ability=0.5)
+        assert np.array_equal(first, holdout_outcomes(spec, ability=0.5))
+        assert 0 < first.sum() < 50  # noise 0.3: neither all right nor all wrong
 
     def test_distinct_abilities_get_distinct_streams(self):
         spec = SynthSpec(5, 300, temperature=0.2, noise=0.5, seed=4)
