@@ -6,7 +6,7 @@ model on a small budgeted subset and extrapolate its full outcome vector;
 ranks new samples the same way.
 """
 
-from .baseline import copy_nearest_expand, copy_nearest_expand_from_truth
+from .baseline import copy_nearest_expand_from_truth
 from .cache import (
     AccuracyCache,
     FormatError,
@@ -77,7 +77,6 @@ __all__ = [
     "ThresholdVector",
     "adversarial_construction",
     "agg_error",
-    "copy_nearest_expand",
     "copy_nearest_expand_from_truth",
     "dp_search",
     "error_decomposition",

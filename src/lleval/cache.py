@@ -316,10 +316,6 @@ class AccuracyCache:
             raise ValueError("dense matrix must be 2-dimensional")
         return cls.from_rows(dense.shape[1], dense, confidence)
 
-    @property
-    def has_confidence(self) -> bool:
-        return self.confidence is not None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AccuracyCache):
             return NotImplemented
@@ -344,21 +340,6 @@ class AccuracyCache:
             self.bits[i], count=self.num_samples, bitorder="little"
         ).view(np.bool_)
 
-    def _checked_columns(self, cols: np.ndarray) -> np.ndarray:
-        cols = np.atleast_1d(cols)  # a 0-d index would slice a read-only view
-        if cols.size and (cols.min() < 0 or cols.max() >= self.num_samples):
-            raise IndexError(f"column index out of range [0, {self.num_samples})")
-        return cols
-
-    def bits_at(self, cols: np.ndarray) -> np.ndarray:
-        """Boolean (models, len(cols)) block of every model."""
-        cols = self._checked_columns(cols)
-        block = self.bits[:, cols // 8]
-        # in place on the gathered copy: one block-sized array at a time
-        block >>= (cols % 8).astype(np.uint8)
-        block &= 1
-        return block.view(np.bool_)
-
     def nearest_row(self, cols: np.ndarray, values: np.ndarray) -> int:
         """Model disagreeing least with ``values`` at the distinct ``cols``.
 
@@ -370,7 +351,9 @@ class AccuracyCache:
         four times leaves about A/16 rows whose byte lanes hold at most
         16 * 8 = 128: no lane wraps.  (A fifth fold could reach 256.)
         """
-        cols = self._checked_columns(cols)
+        cols = np.atleast_1d(cols)
+        if cols.size and (cols.min() < 0 or cols.max() >= self.num_samples):
+            raise IndexError(f"column index out of range [0, {self.num_samples})")
         values = _outcomes(values, cols.size, "values")
         held = np.zeros(self.num_samples, dtype=bool)
         wanted = np.zeros(self.num_samples, dtype=bool)
@@ -398,10 +381,6 @@ class AccuracyCache:
         dtype = np.int32 if 8 * at.size <= _INT32_MAX else np.int64
         counts = diff[:rows].sum(axis=0, dtype=dtype)
         return int(np.argmin(counts[: self.num_models]))
-
-    def column(self, j: int) -> np.ndarray:
-        """Boolean outcomes of every model on sample j."""
-        return self.bits_at([j])[:, 0]
 
     def first_models(self, k: int) -> "AccuracyCache":
         """The cache of models 0..k-1, sharing this cache's memory."""
@@ -491,59 +470,6 @@ class AccuracyCache:
             sums[lo : lo + k] = np.bitwise_count(scratch[:k]).sum(axis=1, dtype=dtype)
         return sums
 
-    # -- growth ------------------------------------------------------------
-
-    def append_row(
-        self, row: np.ndarray, confidence_row: np.ndarray | None = None
-    ) -> "AccuracyCache":
-        """New cache with one more model; existing rows are untouched."""
-        bits = np.vstack([self.bits, AccuracyCache.from_rows(self.num_samples, [row]).bits])
-        conf = None
-        if self.confidence is not None:
-            if confidence_row is None:
-                raise ValueError("cache stores confidences; confidence_row required")
-            conf = np.vstack(
-                [self.confidence, np.asarray(confidence_row, dtype=np.float32)[None, :]]
-            )
-        elif confidence_row is not None:
-            raise ValueError("cache stores no confidences; confidence_row not allowed")
-        return AccuracyCache(self.num_models + 1, self.num_samples, bits, conf)
-
-    def append_column(
-        self, col: np.ndarray, confidence_col: np.ndarray | None = None
-    ) -> "AccuracyCache":
-        """New cache with one more sample; existing columns are untouched.
-        ``save_appended_cache`` writes the same cache without building it."""
-        col, confidence_col = self._new_column(col, confidence_col)
-        m, n = self.num_models, self.num_samples
-        bits = np.empty((m, _row_bytes(n + 1)), dtype=np.uint8)
-        _grow_bits(bits, self.bits, col, n)
-        conf = None
-        if confidence_col is not None:
-            conf = np.empty((m, n + 1), dtype=np.float32)
-            _grow_confidence(conf, self.confidence, confidence_col, n)
-        return AccuracyCache(m, n + 1, bits, conf)
-
-    def _new_column(
-        self, col: np.ndarray, confidence_col: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``col`` as bools and ``confidence_col`` as float32, both checked
-        as one more sample of this cache."""
-        col = _outcomes(col, self.num_models, "column")
-        if self.confidence is None:
-            if confidence_col is not None:
-                raise ValueError("cache stores no confidences; confidence_col not allowed")
-            return col, None
-        if confidence_col is None:
-            raise ValueError("cache stores confidences; confidence_col required")
-        conf = np.asarray(confidence_col, dtype=np.float32)
-        if conf.shape != (self.num_models,):
-            raise ValueError(
-                f"confidence_col shape {conf.shape} does not match {self.num_models} models"
-            )
-        _check_unit_range(conf)
-        return col, conf
-
 
 @dataclass(frozen=True, eq=False)
 class Permutation:
@@ -586,13 +512,6 @@ class Permutation:
     def __len__(self) -> int:
         return self.order.size
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Reorder ``values`` from original coordinates into rank order."""
-        values = np.asarray(values)
-        if values.shape[0] != self.order.size:
-            raise ValueError("length mismatch with permutation")
-        return values[self.order]
-
 
 @dataclass(frozen=True)
 class ThresholdVector:
@@ -606,11 +525,6 @@ class ThresholdVector:
             raise ValueError("length must be non-negative")
         if not 0 <= self.k <= self.length:
             raise ValueError(f"threshold {self.k} outside [0, {self.length}]")
-
-    def materialize(self) -> np.ndarray:
-        vec = np.zeros(self.length, dtype=bool)
-        vec[: self.k] = True
-        return vec
 
 
 class SortMethod(str, Enum):
@@ -790,17 +704,30 @@ def save_appended_cache(
     col: np.ndarray,
     confidence_col: np.ndarray | None = None,
 ) -> None:
-    """Write ``cache.append_column(col, confidence_col)`` as LLBC without
+    """Write ``cache`` with one more sample, the outcomes ``col`` and, if
+    ``cache`` stores confidences, ``confidence_col``, as LLBC without
     building it: the grown rows, then the grown confidences, are made from
-    ``cache``'s own (possibly mapped) arrays a bounded chunk at a time.
-    ``path`` may be the file ``cache`` was loaded from."""
-    col, confidence_col = cache._new_column(col, confidence_col)
-    n = cache.num_samples
-    bits = _grown_chunks(cache.bits, col, _row_bytes(n + 1), n, _grow_bits)
+    ``cache``'s own (possibly mapped) arrays a bounded chunk at a time, and
+    existing columns are untouched.  ``path`` may be the file ``cache`` was
+    loaded from."""
+    m, n = cache.num_models, cache.num_samples
+    col = _outcomes(col, m, "column")
     conf = []
-    if confidence_col is not None:
+    if cache.confidence is None:
+        if confidence_col is not None:
+            raise ValueError("cache stores no confidences; confidence_col not allowed")
+    else:
+        if confidence_col is None:
+            raise ValueError("cache stores confidences; confidence_col required")
+        confidence_col = np.asarray(confidence_col, dtype=np.float32)
+        if confidence_col.shape != (m,):
+            raise ValueError(
+                f"confidence_col shape {confidence_col.shape} does not match {m} models"
+            )
+        _check_unit_range(confidence_col)
         grown = _grown_chunks(cache.confidence, confidence_col, n + 1, n, _grow_confidence)
         conf = [(grown, "<f4")]
+    bits = _grown_chunks(cache.bits, col, _row_bytes(n + 1), n, _grow_bits)
     _write_blocks(path, _cache_header(cache, n + 1), (bits, "u1"), *conf)
 
 

@@ -73,6 +73,8 @@ def _parse_budgets(text: str | None, total: int) -> list[int]:
 
 def _command_oracle(command: str):
     argv = shlex.split(command)
+    if not argv:
+        raise ValueError("--oracle-cmd is empty; give the command to run")
 
     def oracle(index: int) -> bool:
         proc = subprocess.run(argv + [str(index)], capture_output=True)

@@ -136,20 +136,6 @@ def _pick_positions(
     return random_positions(total, budget, seed)
 
 
-def _batch_oracle(oracle: Oracle) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch view of a per-index oracle: asks it once per index, in order.
-
-    Each answer must be a bool or a number 0 or 1; a string such as "0" is
-    an error, not a truthy hit.
-    """
-
-    def observe(indices: np.ndarray) -> np.ndarray:
-        answers = [oracle(i) for i in indices.tolist()]
-        return _outcomes(answers, name="oracle answers")
-
-    return observe
-
-
 def _evaluate(
     sort: SortResult,
     observe: Callable[[np.ndarray], np.ndarray],
@@ -185,9 +171,15 @@ def evaluate_new_model(
     ``budget`` times, at the corresponding original sample indices.  Given a
     ranking of models from ``sort_models_by_sum``, it ranks a new sample
     instead: the threshold counts the models expected to get it right, so
-    higher means easier.
+    higher means easier.  Each answer must be a bool or a number 0 or 1; a
+    string such as "0" is an error, not a truthy hit.
     """
-    return _evaluate(sort, _batch_oracle(oracle), budget, strategy, seed)
+
+    def observe(indices: np.ndarray) -> np.ndarray:
+        answers = [oracle(i) for i in indices.tolist()]  # once each, in order
+        return _outcomes(answers, name="oracle answers")
+
+    return _evaluate(sort, observe, budget, strategy, seed)
 
 
 def evaluate_from_truth(
@@ -225,11 +217,28 @@ def prediction_to_dict(
 
 
 def prediction_from_dict(record: dict) -> tuple[ThresholdVector, SampleSelection]:
+    """The inverse of ``prediction_to_dict``: the threshold, the total and
+    the positions must be whole numbers, and every position in [0, total)."""
+    if not isinstance(record, dict):
+        raise ValueError(f"prediction must be a JSON object, not {type(record).__name__}")
+    for key in ("positions", "outcomes", "strategy", "threshold", "total"):
+        if key not in record:
+            raise ValueError(f"prediction has no {key!r}")
+    for key in ("threshold", "total"):
+        if not isinstance(record[key], (int, np.integer)):
+            raise ValueError(f"prediction {key} {record[key]!r} is not a whole number")
+    positions = np.asarray(record["positions"])
+    if positions.size and positions.dtype.kind not in "iu":
+        raise ValueError("prediction positions must be whole numbers")
     prediction = ThresholdVector(int(record["total"]), int(record["threshold"]))
     selection = SampleSelection(
-        np.asarray(record["positions"], dtype=np.int64),
+        positions,
         record["outcomes"],
         SamplingStrategy(record["strategy"]),
         record.get("seed"),
     )
+    positions, total = selection.positions, prediction.length
+    if positions.size and positions[-1] >= total:  # strictly increasing
+        outside = int(positions[np.searchsorted(positions, total)])
+        raise ValueError(f"prediction position {outside} outside [0, {total})")
     return prediction, selection

@@ -43,3 +43,17 @@ def hamming_fraction(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a).astype(bool)
     b = np.asarray(b).astype(bool)
     return float(np.mean(a != b)) if a.size else 0.0
+
+
+def append_column(cache, col, confidence_col=None):
+    """``cache`` with one more sample, built by numpy from its dense matrix:
+    the reference for ``save_appended_cache``."""
+    from lleval import AccuracyCache
+
+    dense = np.concatenate([cache.to_dense(), np.asarray(col, bool)[:, None]], axis=1)
+    conf = None
+    if confidence_col is not None:
+        conf = np.concatenate(
+            [cache.confidence, np.asarray(confidence_col, np.float32)[:, None]], axis=1
+        )
+    return AccuracyCache.from_dense(dense, conf)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from _oracles import append_column
 from lleval import (
     AccuracyCache,
     SynthSpec,
@@ -336,7 +337,7 @@ class TestInsertSample:
         assert record["report"]["epistemic"] == 0.0
         grown = load_cache(appended_path)
         assert grown.num_samples == 61
-        assert np.array_equal(grown.column(60), outcomes)
+        assert np.array_equal(grown.to_dense()[:, 60], outcomes)
 
     def test_partial_budget(self, small_setup):
         tmp_path, dense, cache_path, perm_path = small_setup
@@ -394,8 +395,8 @@ class TestInsertSample:
         column = np.zeros(9, dtype=bool)
         column[sort_models_by_sum(cache).permutation.order[:k]] = True
         want = tmp_path / "want.llbc"
-        save_cache(cache.append_column(column, column.astype(np.float32)
-                                       if confidence else None), want)
+        save_cache(append_column(cache, column, column.astype(np.float32)
+                                 if confidence else None), want)
         assert grown_path.read_bytes() == want.read_bytes()
 
     def test_append_out_memory_is_one_chunk(self, tmp_path):
@@ -451,7 +452,7 @@ class TestInsertSample:
                      "--report", str(tmp_path / "r.json"),
                      "--append-out", str(grown_path)]) == 0
         grown = load_cache(grown_path)
-        assert np.array_equal(grown.column(20), outcomes)
+        assert np.array_equal(grown.to_dense()[:, 20], outcomes)
         assert np.array_equal(grown.confidence[:, 20], outcomes.astype(np.float32))
         assert np.array_equal(grown.confidence[:, :20], cache.confidence)
         assert np.array_equal(grown.confidence >= 0.5, grown.to_dense())
@@ -496,6 +497,15 @@ class TestOracleCommand:
         assert capsys.readouterr().err == (
             f"error: oracle command failed on index {index} with exit status 3\n"
         )
+
+    @pytest.mark.parametrize("oracle", ["", "  "], ids=["empty", "blank"])
+    @pytest.mark.parametrize("command", ["eval-model", "insert-sample"])
+    def test_empty_command_is_one_error_line(self, small_setup, capsys, command, oracle):
+        assert self._run(small_setup, command, oracle) == 1
+        assert capsys.readouterr().err == (
+            "error: --oracle-cmd is empty; give the command to run\n"
+        )
+        assert not (small_setup[0] / "eval").exists()
 
     def test_output_that_is_not_utf8(self, small_setup, capsys, asked):
         answer = "sys.stdout.buffer.write(bytes([255, 10]))"
@@ -662,6 +672,11 @@ class TestSimulate:
             assert len(outputs) == 1
 
 
+# a prediction of the 60-sample ``small_setup`` ranking
+PREDICTION = {"positions": [10, 20, 30, 40], "outcomes": [1, 0, 1, 1],
+              "strategy": "uniform", "threshold": 30, "total": 60}
+
+
 class TestMetricsCommand:
     def test_score_prediction_file(self, small_setup, capsys):
         tmp_path, dense, cache_path, perm_path = small_setup
@@ -701,6 +716,37 @@ class TestMetricsCommand:
         payload = json.loads(capsys.readouterr().out)
         stored = json.loads((out_dir / "report_16.json").read_text())
         assert payload == stored
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            pytest.param({**PREDICTION, "positions": [100, 200, 300, 400]},
+                         "prediction position 100 outside [0, 60)", id="all-outside"),
+            pytest.param({**PREDICTION, "positions": [10, 20, 60, 61]},
+                         "prediction position 60 outside [0, 60)", id="last-outside"),
+            pytest.param({**PREDICTION, "positions": [10.5, 20, 30, 40]},
+                         "prediction positions must be whole numbers",
+                         id="fractional-position"),
+            pytest.param({**PREDICTION, "threshold": 30.7},
+                         "prediction threshold 30.7 is not a whole number",
+                         id="fractional-threshold"),
+            *[pytest.param({k: v for k, v in PREDICTION.items() if k != key},
+                           f"prediction has no {key!r}", id=f"no-{key}")
+              for key in PREDICTION],
+            pytest.param([PREDICTION], "prediction must be a JSON object, not list",
+                         id="list"),
+        ],
+    )
+    def test_bad_prediction_is_one_error_line(self, small_setup, capsys, record, message):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        truth_path = tmp_path / "truth.csv"
+        write_vector(truth_path, np.ones(60, dtype=bool))
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps(record))
+        rc = main(["metrics", "--truth", str(truth_path), "--pred", str(pred_path),
+                   "--perm", str(perm_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_corrupt_cache_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.llbc"

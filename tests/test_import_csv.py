@@ -109,7 +109,7 @@ def test_matches_reference_parser(tmp_path, text, has_confidence):
     else:
         assert isinstance(got, AccuracyCache)
         assert got == want
-        assert got.has_confidence == has_confidence
+        assert (got.confidence is not None) == has_confidence
 
 
 @pytest.mark.parametrize("has_confidence", [False, True])

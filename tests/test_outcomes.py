@@ -7,6 +7,8 @@ row it spells.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +19,15 @@ from lleval import (
     ThresholdVector,
     adversarial_construction,
     agg_error,
-    copy_nearest_expand,
     copy_nearest_expand_from_truth,
     dp_search,
     error_decomposition,
     evaluate_from_truth,
     evaluate_new_model,
+    load_cache,
     mae,
     prediction_from_dict,
+    save_appended_cache,
     save_cache,
     save_permutation,
     save_sums,
@@ -53,10 +56,17 @@ def _asked(row):
     return lambda i: row[i]
 
 
+def _appended(col):
+    """CACHE as ``save_appended_cache`` writes it with ``col`` as one more sample."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grown.llbc"
+        save_appended_cache(CACHE, path, col)
+        return load_cache(path).to_dense()
+
+
 # entry point -> (row length it checks, or None, call on a row)
 ENTRIES = {
     "from_rows": (N, lambda r: AccuracyCache.from_rows(N, [r])),
-    "append_column": (M, lambda r: CACHE.append_column(r)),
     "nearest_row": (COLS.size, lambda r: CACHE.nearest_row(COLS, r)),
     "dp_search": (None, dp_search),
     "evaluate_from_truth": (N, lambda r: evaluate_from_truth(SORT, r, 4)),
@@ -69,9 +79,6 @@ ENTRIES = {
         ),
     ),
     "oracle_answers": (None, lambda r: evaluate_new_model(SORT, _asked(r), 6)),
-    "copy_nearest_expand": (
-        None, lambda r: copy_nearest_expand(CACHE, _asked(r), 4, seed=1)
-    ),
     "copy_nearest_expand_from_truth": (
         N, lambda r: copy_nearest_expand_from_truth(CACHE, r, 4, seed=1)
     ),
@@ -81,6 +88,7 @@ ENTRIES = {
         N, lambda r: error_decomposition(r, ThresholdVector(N, 5), SORT.permutation, 4)
     ),
     "adversarial_construction": (None, adversarial_construction),
+    "save_appended_cache": (M, _appended),
 }
 
 
@@ -123,18 +131,6 @@ EXPECTED = {
     "adversarial_construction": [False, True, False, False, True, False, False, True,
                                  True, True, True, True],
     "agg_error": 0.16666666666666666,
-    "append_column": [[True, True, True, False, True, True, False, True, False, False,
-                       True, False, True],
-                      [True, False, True, True, False, True, True, False, False, True,
-                       False, False, False],
-                      [False, True, True, True, True, False, False, True, True, False,
-                       False, True, True],
-                      [True, True, False, True, False, False, True, False, False, False,
-                       True, False, True],
-                      [True, True, True, True, True, False, True, False, True, False,
-                       False, False, False]],
-    "copy_nearest_expand": [True, False, True, True, False, True, True, False, True,
-                            True, False, True],
     "copy_nearest_expand_from_truth": [True, False, True, True, False, True, True, False,
                                        True, True, False, True],
     "dp_search": ("threshold", 12, 7),
@@ -151,6 +147,18 @@ EXPECTED = {
                        ([1, 3, 5, 6, 8, 10], [False, True, True, True, True, False])),
     "prediction_from_dict": (("threshold", 12, 3),
                              ([1, 4, 7, 10], [True, False, True, True])),
+    "save_appended_cache": [
+        [True, True, True, False, True, True, False, True, False, False, True, False,
+         True],
+        [True, False, True, True, False, True, True, False, False, True, False, False,
+         False],
+        [False, True, True, True, True, False, False, True, True, False, False, True,
+         True],
+        [True, True, False, True, False, False, True, False, False, False, True, False,
+         True],
+        [True, True, True, True, True, False, True, False, True, False, False, False,
+         False],
+    ],
 }
 
 
@@ -175,7 +183,7 @@ def test_bad_rows_rejected(entry, kind):
 
 
 @pytest.mark.parametrize("answer", ["0", "1", None, 0.5, -1])
-@pytest.mark.parametrize("entry", ["oracle_answers", "copy_nearest_expand"])
+@pytest.mark.parametrize("entry", ["oracle_answers"])
 def test_oracle_answers_must_be_zero_or_one(entry, answer):
     _, call = ENTRIES[entry]
     with pytest.raises(ValueError, match="oracle answers entries must be 0 or 1"):

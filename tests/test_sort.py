@@ -60,7 +60,7 @@ class TestSortBySum:
             assert np.all(np.diff(result.sums) <= 0)
             # permuting the raw column sums must reproduce the sorted sums
             assert np.array_equal(
-                result.permutation.apply(cache.column_sums()), result.sums
+                cache.column_sums()[result.permutation.order], result.sums
             )
 
     def test_peak_is_order_totals_and_keys(self):

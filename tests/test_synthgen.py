@@ -67,7 +67,7 @@ class TestGenerate:
     def test_confidence_block_stores_probabilities(self):
         spec = SynthSpec(5, 40, temperature=0.3, noise=0.2, seed=1)
         cache, abilities, difficulties = generate(spec, include_confidence=True)
-        assert cache.has_confidence
+        assert cache.confidence is not None
         assert cache.confidence.shape == (5, 40)
         assert cache.confidence.min() >= 0.0
         assert cache.confidence.max() <= 1.0
@@ -149,7 +149,7 @@ class TestDifficultyRecovery:
         result = sort_by_sum(cache)
         # harder samples (higher difficulty) must rank later
         rho = rank_correlation(
-            result.permutation.apply(difficulties), np.arange(400).astype(float)
+            difficulties[result.permutation.order], np.arange(400).astype(float)
         )
         assert rho >= 0.99
         rho_sums = rank_correlation(
