@@ -16,6 +16,7 @@ import contextlib
 import csv
 import io
 import json
+import mmap
 import os
 import struct
 import threading
@@ -48,6 +49,9 @@ _POPCOUNT_CHUNK_BYTES = 1 << 20
 _GROW_CHUNK_BYTES = 1 << 20
 # packed bytes per ``column_sums`` tile: its bit planes and carries stay in L2
 _TILE_BYTES = 1 << 16
+# packed bytes of rows that ``column_sums`` and the padding check read from
+# a mapped cache before ``_release``: 32 rows of 1.7M samples
+_BAND_BYTES = 1 << 23
 # plane bytes ``column_sums`` unpacks at once, and the widest rows it lays
 # side by side: 120 KiB unpacked stays under glibc's default 128 KiB mmap
 # threshold, so each unpacked plane reuses heap memory instead of faulting
@@ -178,7 +182,7 @@ def _add_tree(
     _csa(planes[d - 1], x, y, out, scratch[0])
 
 
-def _ripple(planes: np.ndarray, carry: np.ndarray, spares: tuple) -> None:
+def _ripple(planes: np.ndarray, carry: np.ndarray, spares: np.ndarray) -> None:
     """Add the packed row ``carry`` into the counter whose bit planes are
     ``planes``.  The carry moves through the two ``spares`` in turn, so the
     row itself is only read; the top plane takes no carry out, as the
@@ -192,24 +196,71 @@ def _ripple(planes: np.ndarray, carry: np.ndarray, spares: tuple) -> None:
 
 
 def _add_rows(
-    planes: np.ndarray, rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    planes: np.ndarray, held: list, first: int, rows: np.ndarray, spare: np.ndarray
 ) -> None:
-    """Add packed ``rows`` into zeroed bit planes, one carry-save tree per
-    binary digit of their number, so a remainder never ripples row by row.
+    """Add packed ``rows`` into the bit planes of a counter that has added
+    ``first`` rows before them.
+
+    As a binary counter does, the counter holds a carry of weight 2**l in
+    ``held[l]`` for each set bit l of the number of rows added.  Rows go in
+    as groups of 2**d, aligned to their size, each summed by a carry-save
+    tree whose carry then merges with the held carries at levels d and up.
+    So however rows are split between calls, the adds are those of one tree
+    over all of them, and no carry ripples until the caller ripples the held
+    ones in (``_ripple``).  ``spare`` is two scratch rows.
 
     Module-level functions, not closures: a closure that calls itself is a
     reference cycle that would keep the mapped cache alive until the next
     collection.
     """
-    first = 0
-    for d in reversed(range(len(planes))):
-        if len(rows) >> d & 1:
-            group = rows[first : first + (1 << d)]
-            first += 1 << d
-            if d:
-                _add_tree(planes, group, out, scratch)
-            carry = out if d else group[0]
-            _ripple(planes[d:], carry, (scratch[0], out))
+    out, tmp = spare
+    count, end = first, first + len(rows)
+    while count < end:
+        d = (end - count).bit_length() - 1
+        if count:
+            d = min(d, (count & -count).bit_length() - 1)
+        top = d  # the level where the group's carry comes to rest
+        while count >> top & 1:
+            top += 1
+        group = rows[count - first : count - first + (1 << d)]
+        if d:  # held[:d] is free scratch: count is a multiple of 2**d
+            carry = held[d] if top == d else out
+            _add_tree(planes, group, carry, held)
+        else:
+            carry = group[0]
+            if top == 0:
+                held[0][...] = carry
+        for level in range(d, top):
+            merged = held[top] if level == top - 1 else out
+            _csa(planes[level], carry, held[level], merged, tmp)
+            carry = merged
+        count += 1 << d
+
+
+def _band_rows(row_bytes: int) -> int:
+    """Rows in a band: the largest power of two within ``_BAND_BYTES``, or 1."""
+    return 1 << max(0, (_BAND_BYTES // max(1, row_bytes)).bit_length() - 1)
+
+
+def _release(rows: np.ndarray) -> None:
+    """Drop the pages of contiguous ``rows``, if they are a view of a
+    read-only ``mmap``, from this process's resident set once read.  The
+    file's pages stay in the page cache, and a later read maps them again.
+    Any other array is left alone: a copy-on-write map would lose its
+    writes."""
+    base = rows
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):  # as ``np.frombuffer`` wraps its buffer
+        base = base.obj
+    if not isinstance(base, mmap.mmap) or rows.size == 0:
+        return
+    whole = np.frombuffer(base, np.uint8)
+    if whole.flags.writeable:
+        return
+    start = rows.ctypes.data - whole.ctypes.data
+    first = start - start % mmap.PAGESIZE
+    base.madvise(mmap.MADV_DONTNEED, first, start + rows.nbytes - first)
 
 
 def _check_unit_range(conf: np.ndarray) -> None:
@@ -263,8 +314,12 @@ class AccuracyCache:
                 f"bits shape {bits.shape} does not match {m}x{n} cache"
             )
         mask = _pad_mask(n)
-        if mask and m and np.any(bits[:, -1] & mask):
-            raise ValueError("nonzero padding bits past the last column")
+        if mask:  # a band at a time: a byte per row can map every page of a file
+            step = _band_rows(bits.shape[1])
+            for lo in range(0, m, step):
+                if np.any(bits[lo : lo + step, -1] & mask):
+                    raise ValueError("nonzero padding bits past the last column")
+                _release(bits[lo : lo + step])
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
         if self.confidence is not None:
@@ -397,14 +452,18 @@ class AccuracyCache:
     def column_sums(self) -> np.ndarray:
         """Per-column popcounts.
 
-        Bit-sliced: per tile of ``_TILE_BYTES`` packed columns, the counts
-        live in packed bit planes, one per bit of the row count, and rows
-        are added as packed bytes by carry-save adder trees (``_add_rows``),
-        never unpacked.  Each plane is unpacked once per tile,
-        ``_SLICE_BYTES`` at a time.  Rows shorter than ``_SLICE_BYTES`` are
-        first laid k side by side (k the largest divisor of m that fits), so
-        each bitwise pass covers more bytes; the k partial counts are summed
-        when unpacked.  The length-n result is the only large array.
+        Bit-sliced: the counts live in packed bit planes covering every
+        column, one per bit of the row count, and rows are added as packed
+        bytes by carry-save adder trees (``_add_rows``), never unpacked.
+        Rows are read in bands of at most ``_BAND_BYTES``, a power of two
+        of rows each, and a band is added one ``_TILE_BYTES`` tile of
+        columns at a time, so that tile's planes stay in L2 while the
+        band's rows pass; a mapped band is then released (``_release``).
+        Each plane is unpacked once, ``_SLICE_BYTES`` at a time.  Rows
+        shorter than ``_SLICE_BYTES`` are first laid k side by side (k the
+        largest divisor of m that fits), so each bitwise pass covers more
+        bytes; the k partial counts are summed when unpacked.  The
+        length-n result is the only large array.
         """
         m, n = self.num_models, self.num_samples
         dtype = np.int32 if m <= _INT32_MAX else np.int64
@@ -416,37 +475,50 @@ class AccuracyCache:
         while m % k:
             k -= 1
         rows = self.bits.reshape(m // k, k * rb)  # contiguous: a view
+        width = rows.shape[1]
         depth = (m // k).bit_length()
         fold_dtype = np.min_scalar_type(m)
-        # planes, then the carry and the tree's scratch
-        stack = np.empty((2 * depth + 1, min(rows.shape[1], _TILE_BYTES)), np.uint8)
-        for lo in range(0, rb, _TILE_BYTES):
-            tile = rows[:, lo : lo + _TILE_BYTES]
-            bufs = stack[:, : tile.shape[1]]
-            planes = bufs[:depth]
-            planes.fill(0)
-            _add_rows(planes, tile, bufs[depth], bufs[depth + 1 :])
-            for s in range(0, tile.shape[1], _SLICE_BYTES):
-                block = planes[:, s : s + _SLICE_BYTES].reshape(depth, k, -1)
-                c0 = 8 * (lo + s)
-                c1 = min(n, c0 + 8 * block.shape[-1])
-                out = sums[c0:c1]
-                for g in reversed(range(0, depth, 8)):
-                    # Horner's rule over eight planes at a time on 0/1 bytes,
-                    # eight per uint64 lane, so doubling never carries from
-                    # one column into the next
-                    group = block[g : g + 8]
-                    count = _unpacked_lanes(group[-1])
-                    for plane in group[-2::-1]:
-                        count += count
-                        count |= _unpacked_lanes(plane)
-                    count = count.view(np.uint8)[:, : c1 - c0]
-                    count = count[0] if k == 1 else np.add.reduce(count, dtype=fold_dtype)
-                    if g + 8 < depth:  # and over the groups, in place
-                        out <<= 8
-                        out += count
-                    else:
-                        out[...] = count
+        planes = np.zeros((depth, width), np.uint8)
+        # a band is 2**b rows: carries of level b and up are held from band
+        # to band, for every column; those below b only within a band, for
+        # one tile at a time, beside two spare rows
+        b = _band_rows(width).bit_length() - 1
+        held_wide = np.empty((max(0, depth - b), width), np.uint8)
+        stack = np.empty((min(b, depth) + 2, min(width, _TILE_BYTES)), np.uint8)
+        for first in range(0, len(rows), 1 << b):
+            band = rows[first : first + (1 << b)]
+            for lo in range(0, width, _TILE_BYTES):
+                cols = slice(lo, lo + _TILE_BYTES)
+                tile = band[:, cols]
+                bufs = stack[:, : tile.shape[1]]
+                held = [*bufs[:-2], *held_wide[:, cols]]
+                _add_rows(planes[:, cols], held, first, tile, bufs[-2:])
+                if first + len(band) == len(rows):  # ripple the held carries in
+                    for level in range(depth):
+                        if len(rows) >> level & 1:
+                            _ripple(planes[level:, cols], held[level], bufs[-2:])
+            _release(band)
+        for s in range(0, width, _SLICE_BYTES):
+            block = planes[:, s : s + _SLICE_BYTES].reshape(depth, k, -1)
+            c0 = 8 * s
+            c1 = min(n, c0 + 8 * block.shape[-1])
+            out = sums[c0:c1]
+            for g in reversed(range(0, depth, 8)):
+                # Horner's rule over eight planes at a time on 0/1 bytes,
+                # eight per uint64 lane, so doubling never carries from
+                # one column into the next
+                group = block[g : g + 8]
+                count = _unpacked_lanes(group[-1])
+                for plane in group[-2::-1]:
+                    count += count
+                    count |= _unpacked_lanes(plane)
+                count = count.view(np.uint8)[:, : c1 - c0]
+                count = count[0] if k == 1 else np.add.reduce(count, dtype=fold_dtype)
+                if g + 8 < depth:  # and over the groups, in place
+                    out <<= 8
+                    out += count
+                else:
+                    out[...] = count
         return sums
 
     def row_sums(self) -> np.ndarray:
@@ -454,7 +526,8 @@ class AccuracyCache:
 
         Each chunk of rows is copied into one reused scratch of whole
         uint64 words, zero past each row's bytes, and popcounted a word at
-        a time: no m x n matrix is ever built.
+        a time: no m x n matrix is ever built, and a mapped chunk is
+        released (``_release``) once copied.
         """
         m, rb = self.bits.shape
         words = -(-rb // 8)
@@ -467,6 +540,7 @@ class AccuracyCache:
         for lo in range(0, m, step):
             k = min(step, m - lo)
             row_bytes[:k] = self.bits[lo : lo + k]
+            _release(self.bits[lo : lo + k])
             sums[lo : lo + k] = np.bitwise_count(scratch[:k]).sum(axis=1, dtype=dtype)
         return sums
 
@@ -689,12 +763,13 @@ def _grown_chunks(
 ) -> Iterable[np.ndarray]:
     """The rows of ``block`` grown by ``col`` to ``width`` items, as one
     reused buffer of at most ``_GROW_CHUNK_BYTES``, or one row, refilled by
-    ``grow`` for each chunk of rows."""
+    ``grow`` for each chunk of rows; a mapped chunk is released once read."""
     step = max(1, _GROW_CHUNK_BYTES // max(1, width * block.itemsize))
     buf = np.empty((min(step, len(block)), width), dtype=block.dtype)
     for lo in range(0, len(block), step):
         out = buf[: min(step, len(block) - lo)]
         grow(out, block[lo : lo + step], col[lo : lo + step], n)
+        _release(block[lo : lo + step])
         yield out
 
 
@@ -731,16 +806,12 @@ def save_appended_cache(
     _write_blocks(path, _cache_header(cache, n + 1), (bits, "u1"), *conf)
 
 
-def _map_block(path: str | Path, dtype: str, shape: tuple, offset: int) -> np.ndarray:
-    """Read-only memory map of one payload block (numpy cannot map 0 bytes)."""
-    if shape[0] * shape[1] == 0:
-        return np.zeros(shape, dtype=dtype)
-    block = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=shape)
-    return block.view(np.ndarray)
-
-
 def load_cache(path: str | Path) -> AccuracyCache:
-    """Map an LLBC file read-only, verifying magic, version, size and padding."""
+    """Map an LLBC file read-only, verifying magic, version, size and padding.
+
+    The bits and confidences are read-only views of one ``mmap`` of the
+    file, which their base chain keeps alive, so ``_release`` can find it.
+    """
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -751,11 +822,15 @@ def load_cache(path: str | Path) -> AccuracyCache:
     bits_len = m * rb
     conf_len = m * n * 4 if flags & _FLAG_CONFIDENCE else 0
     _check_size(size, _HEADER.size + bits_len + conf_len, "cache payload")
+    with open(path, "rb") as fh:
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        bits = _map_block(path, "u1", (m, rb), _HEADER.size)
+        bits = np.frombuffer(mapped, "u1", bits_len, _HEADER.size).reshape(m, rb)
         confidence = None
         if flags & _FLAG_CONFIDENCE:
-            confidence = _map_block(path, "<f4", (m, n), _HEADER.size + bits_len)
+            confidence = np.frombuffer(
+                mapped, "<f4", m * n, _HEADER.size + bits_len
+            ).reshape(m, n)
         return AccuracyCache(m, n, bits, confidence)  # checks padding and [0, 1]
     except ValueError as exc:  # also an empty block too wide for any array
         raise FormatError(str(exc)) from None

@@ -302,8 +302,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     pred, selection = prediction_from_dict(_read_json(args.pred))
-    truth = _read_outcomes(args.truth, pred.length, "truth")
     perm = load_permutation(args.perm)
+    if len(perm) != pred.length:  # before --truth, which is read at the total
+        raise ValueError(
+            f"prediction total {pred.length} does not match "
+            f"permutation length {len(perm)}"
+        )
+    truth = _read_outcomes(args.truth, pred.length, "truth")
     report = error_decomposition(truth, pred, perm, budget=selection.budget)
     payload = report.to_dict()
     if args.out:

@@ -602,6 +602,38 @@ class TestColumnSums:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("n, k", [(8 * _TILE_BYTES + 5, 1), (1003, 121)])
+    @pytest.mark.parametrize(
+        "band, rows", [(4, 3), (4, 4), (4, 5), (4, 31), (4, 33), (1, 1), (1, 7)]
+    )
+    def test_band_edges_match_bit_planes(
+        self, monkeypatch, tmp_path, mapped, n, k, band, rows
+    ):
+        # band rows - 1, band rows and band rows + 1, and carries held over
+        # several bands; with n = 1003, 121 rows sit side by side as one
+        monkeypatch.setattr(lleval.cache, "_BAND_BYTES", band * k * ((n + 7) // 8))
+        for seed in (None, rows):  # all ones carry into the top plane
+            cache = packed_cache(rows * k, n, seed=seed)
+            if mapped:
+                save_cache(cache, tmp_path / "cache.llbc")
+                cache = load_cache(tmp_path / "cache.llbc")
+            assert np.array_equal(cache.column_sums(), column_sums_ref(cache.bits, n))
+
+    def test_copy_on_write_map_keeps_its_writes(self, tmp_path):
+        # pages of a private map hold its writes: releasing them would
+        # silently bring back the file's bytes
+        n = 8 * _TILE_BYTES + 5
+        cache = packed_cache(64, n, seed=22)
+        save_cache(cache, tmp_path / "cache.llbc")
+        bits = np.memmap(tmp_path / "cache.llbc", np.uint8, "c", 32, cache.bits.shape)
+        bits[:, 0] ^= 1
+        written = np.array(bits)
+        mapped = AccuracyCache(64, n, bits)
+        assert np.array_equal(mapped.column_sums(), column_sums_ref(written, n))
+        assert mapped.row_sums().sum() == np.bitwise_count(written).sum()
+        assert np.array_equal(mapped.bits, written)
+
     def test_row_sums_match_dense(self):
         rng = np.random.default_rng(4)
         for m, n in [(0, 0), (3, 0), (0, 9), (5, 13), (40, 3)]:

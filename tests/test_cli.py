@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from lleval import (
     sort_by_sum,
     sort_models_by_sum,
 )
+import lleval
 from lleval import cli
 from lleval.cli import _derived_seed, main
 
@@ -147,6 +151,56 @@ class TestSort:
         sums = load_sums(out.with_suffix(".llsm"))
         assert len(load_permutation(out)) == sums.size == n
         assert np.all(np.diff(sums) <= 0)
+
+    def test_mapped_passes_keep_the_file_out_of_rss(self, tmp_path):
+        """A child's own peak RSS (``RUSAGE_SELF``: ``RUSAGE_CHILDREN`` keeps
+        earlier children's peaks) while ``lleval sort`` ranks a 64 MB mapped
+        cache stays below the file's size plus the child's RSS once it has
+        imported lleval.  ``load_cache``'s padding check (n % 8 != 0 here)
+        and then ``insert-sample --append-out``, which reads every row twice,
+        each add under half the file.  Linux carries a peak RSS across fork
+        and exec, so the child is started by a bare interpreter, not by this
+        process."""
+        m, n = 320, 1_680_005  # 210,001-byte rows
+        rng = np.random.default_rng(24)
+        bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
+        bits[:, -1] &= (1 << n % 8) - 1
+        save_cache(AccuracyCache(m, n, bits), tmp_path / "big.llbc")
+        del bits
+        write_vector(tmp_path / "col.csv", rng.random(m) < 0.5)
+        size = (tmp_path / "big.llbc").stat().st_size
+        assert size >= 64 << 20
+        child = (
+            "import resource, sys\n"
+            "from lleval import load_cache\n"
+            "from lleval.cli import main\n"
+            "def peak():\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+            "cache, out = sys.argv[1] + '/big.llbc', sys.argv[1] + '/big.llpm'\n"
+            "peaks = [peak()]\n"
+            "load_cache(cache)\n"
+            "peaks.append(peak())\n"
+            "rcs = [main(['sort', '--cache', cache, '--out', out])]\n"
+            "peaks.append(peak())\n"
+            "rcs.append(main(['insert-sample', '--cache', cache, '--budget', '16',\n"
+            "                 '--outcomes', sys.argv[1] + '/col.csv',\n"
+            "                 '--report', sys.argv[1] + '/r.json',\n"
+            "                 '--append-out', sys.argv[1] + '/grown.llbc']))\n"
+            "print(*rcs, *peaks, peak())\n"
+        )
+        src = str(Path(lleval.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        argv = [sys.executable, "-c", launch, sys.executable, "-c", child, str(tmp_path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *rcs, imported, loaded, ranked, inserted = map(int, proc.stdout.split()[-6:])
+        assert rcs == [0, 0]
+        assert loaded - imported < size // 2
+        assert ranked < imported + size
+        assert inserted - imported < size // 2
+        assert load_cache(tmp_path / "grown.llbc").num_samples == n + 1
 
 
 class TestEvalModel:
@@ -747,6 +801,24 @@ class TestMetricsCommand:
                    "--perm", str(perm_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_prediction_total_against_permutation_is_one_error_line(
+        self, small_setup, capsys
+    ):
+        # a truth file of the prediction's total: only --perm disagrees
+        tmp_path, dense, cache_path, perm_path = small_setup
+        truth_path = tmp_path / "truth.csv"
+        write_vector(truth_path, np.ones(30, dtype=bool))
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps(
+            {**PREDICTION, "positions": [5, 10, 15, 20], "threshold": 10, "total": 30}
+        ))
+        rc = main(["metrics", "--truth", str(truth_path), "--pred", str(pred_path),
+                   "--perm", str(perm_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: prediction total 30 does not match permutation length 60\n"
+        )
 
     def test_corrupt_cache_reports_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.llbc"
