@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import mmap
@@ -330,7 +331,10 @@ class AccuracyCache:
                 raise ValueError(
                     f"confidence shape {conf.shape} does not match {m}x{n} cache"
                 )
-            _check_unit_range(conf)
+            step = _band_rows(conf.itemsize * n)  # a band at a time, as above
+            for lo in range(0, m, step):
+                _check_unit_range(conf[lo : lo + step])
+                _release(conf[lo : lo + step])
             conf.flags.writeable = False
             object.__setattr__(self, "confidence", conf)
 
@@ -521,6 +525,27 @@ class AccuracyCache:
                     out[...] = count
         return sums
 
+    def confidence_sums(self) -> np.ndarray:
+        """Per-column totals of the confidences (float64).
+
+        Each row is added into the totals in turn, the order of one
+        ``sum(axis=0)`` over the matrix, so the totals are its bits.  Rows
+        are read a band at a time (``_band_rows``) and a mapped band is
+        released (``_release``) once added: the block is never resident
+        whole.
+        """
+        conf = self.confidence
+        if conf is None:
+            raise ValueError("cache has no confidence matrix")
+        sums = np.zeros(self.num_samples, dtype=np.float64)
+        step = _band_rows(conf.itemsize * self.num_samples)
+        for lo in range(0, self.num_models, step):
+            band = conf[lo : lo + step]
+            for row in band:
+                sums += row
+            _release(band)
+        return sums
+
     def row_sums(self) -> np.ndarray:
         """Per-row popcounts (int64).
 
@@ -644,13 +669,18 @@ def _check_parents(*paths: str | Path | None) -> None:
 
 
 @contextlib.contextmanager
-def _replacing_writer(path: str | Path):
-    """Handle on a temporary file that replaces ``path`` only on success, so
-    a failed write keeps the old file and mapped readers never see it shrink.
+def _replacing_writer(path: str | Path, size: int):
+    """Handle on a temporary file that replaces ``path`` only once exactly
+    ``size`` bytes are written to it, so a failed or short write keeps the
+    old file and mapped readers never see it shrink.
 
     Applies ``_check_parents`` first, so a blocked parent fails there,
     naming it, and not at the hidden temporary file; then makes the missing
-    parents, the only place any is made.
+    parents, the only place any is made.  The temporary file's ``size``
+    bytes are reserved before the first write (``os.posix_fallocate``,
+    where there is one): the file system allocates its blocks at once,
+    not a page at a time, and a full disk fails before any data is
+    written.  A file system that cannot reserve space is written as is.
     """
     path = Path(path)
     _check_parents(path)
@@ -658,20 +688,30 @@ def _replacing_writer(path: str | Path):
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as fh:
+            if size and hasattr(os, "posix_fallocate"):
+                try:
+                    os.posix_fallocate(fh.fileno(), 0, size)
+                except OSError as exc:
+                    if exc.errno not in (errno.EINVAL, errno.EOPNOTSUPP):
+                        raise
             yield fh
+            if fh.tell() != size:
+                raise RuntimeError(f"{fh.tell()} bytes written to {path}, expected {size}")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_blocks(path: str | Path, header: bytes, *blocks: tuple) -> None:
+def _write_blocks(path: str | Path, size: int, header: bytes, *blocks: tuple) -> None:
     """``header`` (all of a text artifact), then each ``(values, dtype)``
     block's items in C order, stored as ``dtype``; ``values`` is an array or
     an iterable of array chunks.  An array or chunk already of that dtype
     goes out from its own buffer in one call; others are converted
-    ``_WRITE_CHUNK`` items at a time: no full-length converted copy."""
-    with _replacing_writer(path) as fh:
+    ``_WRITE_CHUNK`` items at a time: no full-length converted copy.
+    ``size`` is the file's length by its format's rule (``_cache_size``,
+    ``_array_size``), which the writer reserves and then checks."""
+    with _replacing_writer(path, size) as fh:
         fh.write(header)
         for values, dtype in blocks:
             for part in (values,) if isinstance(values, np.ndarray) else values:
@@ -687,11 +727,13 @@ def _write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
     """CSV rows (CR LF line ends), written in one piece."""
     text = io.StringIO()
     csv.writer(text).writerows(rows)
-    _write_blocks(path, text.getvalue().encode())
+    data = text.getvalue().encode()
+    _write_blocks(path, len(data), data)
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
-    _write_blocks(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    _write_blocks(path, len(data), data)
 
 
 def _read_json(path: str | Path) -> dict:
@@ -747,15 +789,27 @@ def _check_size(size: int, expected: int, payload: str) -> None:
         raise FormatError(f"trailing bytes after {payload}")
 
 
-def _cache_header(cache: AccuracyCache, num_samples: int) -> bytes:
+def _cache_size(m: int, n: int, flags: int) -> int:
+    """Length of an LLBC file: the header, m rows of ceil(n/8) bytes, then
+    m * n float32 confidences if ``flags`` holds ``_FLAG_CONFIDENCE``."""
+    conf = 4 * m * n if flags & _FLAG_CONFIDENCE else 0
+    return _HEADER.size + m * _row_bytes(n) + conf
+
+
+def _write_cache(
+    path: str | Path, cache: AccuracyCache, num_samples: int, *blocks: tuple
+) -> None:
+    """LLBC of ``cache``'s models at ``num_samples`` samples from ``blocks``."""
+    m = cache.num_models
     flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
-    return _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, cache.num_models, num_samples, flags)
+    header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, num_samples, flags)
+    _write_blocks(path, _cache_size(m, num_samples, flags), header, *blocks)
 
 
 def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     """Write the cache in the LLBC binary format (little-endian)."""
     conf = [] if cache.confidence is None else [(cache.confidence, "<f4")]
-    _write_blocks(path, _cache_header(cache, cache.num_samples), (cache.bits, "u1"), *conf)
+    _write_cache(path, cache, cache.num_samples, (cache.bits, "u1"), *conf)
 
 
 def _grown_chunks(
@@ -803,7 +857,7 @@ def save_appended_cache(
         grown = _grown_chunks(cache.confidence, confidence_col, n + 1, n, _grow_confidence)
         conf = [(grown, "<f4")]
     bits = _grown_chunks(cache.bits, col, _row_bytes(n + 1), n, _grow_bits)
-    _write_blocks(path, _cache_header(cache, n + 1), (bits, "u1"), *conf)
+    _write_cache(path, cache, n + 1, (bits, "u1"), *conf)
 
 
 def load_cache(path: str | Path) -> AccuracyCache:
@@ -818,10 +872,9 @@ def load_cache(path: str | Path) -> AccuracyCache:
     m, n, flags = _unpack_header(head, _CACHE_MAGIC, _HEADER, _CACHE_VERSION)
     if flags & ~_FLAG_CONFIDENCE:
         raise FormatError(f"unsupported flags {flags:#x}")
+    _check_size(size, _cache_size(m, n, flags), "cache payload")
     rb = _row_bytes(n)
     bits_len = m * rb
-    conf_len = m * n * 4 if flags & _FLAG_CONFIDENCE else 0
-    _check_size(size, _HEADER.size + bits_len + conf_len, "cache payload")
     with open(path, "rb") as fh:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     try:
@@ -836,10 +889,21 @@ def load_cache(path: str | Path) -> AccuracyCache:
         raise FormatError(str(exc)) from None
 
 
+def _array_size(length: int, dtype: str) -> int:
+    """Length of an LLPM or LLSM file: the header, then ``length`` items."""
+    return _IO_HEADER.size + length * np.dtype(dtype).itemsize
+
+
+def _write_array_file(
+    path: str | Path, magic: bytes, values: np.ndarray, dtype: str
+) -> None:
+    header = _IO_HEADER.pack(magic, _IO_VERSION, values.size)
+    _write_blocks(path, _array_size(values.size, dtype), header, (values, dtype))
+
+
 def save_permutation(perm: Permutation, path: str | Path) -> None:
-    header = _IO_HEADER.pack(_PERM_MAGIC, _IO_VERSION, len(perm))
     # never negative, so its int64 bytes are the stored uint64 ones
-    _write_blocks(path, header, (perm.order, "<i8"))
+    _write_array_file(path, _PERM_MAGIC, perm.order, "<i8")
 
 
 def load_permutation(path: str | Path) -> Permutation:
@@ -852,9 +916,7 @@ def load_permutation(path: str | Path) -> Permutation:
 
 
 def save_sums(sums: np.ndarray, path: str | Path) -> None:
-    sums = np.asarray(sums)
-    header = _IO_HEADER.pack(_SUMS_MAGIC, _IO_VERSION, sums.size)
-    _write_blocks(path, header, (sums, "<f8"))
+    _write_array_file(path, _SUMS_MAGIC, np.asarray(sums), "<f8")
 
 
 def load_sums(path: str | Path) -> np.ndarray:
@@ -866,8 +928,7 @@ def _read_array_file(path: str | Path, magic: bytes, dtype: str) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(_IO_HEADER.size)
         (length,) = _unpack_header(head, magic, _IO_HEADER, _IO_VERSION)
-        expected = _IO_HEADER.size + length * np.dtype(dtype).itemsize
-        _check_size(os.fstat(fh.fileno()).st_size, expected, "payload")
+        _check_size(os.fstat(fh.fileno()).st_size, _array_size(length, dtype), "payload")
         return np.fromfile(fh, dtype=dtype, count=length)
 
 

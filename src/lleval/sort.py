@@ -85,10 +85,7 @@ def sort_models_by_sum(cache: AccuracyCache) -> SortResult:
 
 def sort_by_confidence_sum(cache: AccuracyCache) -> SortResult:
     """Same ranking computed on the confidence matrix's column sums."""
-    if cache.confidence is None:
-        raise ValueError("cache has no confidence matrix")
-    sums = cache.confidence.sum(axis=0, dtype=np.float64)
-    return _ranked(sums, SortMethod.CONFIDENCE_SUM)
+    return _ranked(cache.confidence_sums(), SortMethod.CONFIDENCE_SUM)
 
 
 def threshold_all_rows(

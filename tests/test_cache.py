@@ -1,9 +1,11 @@
 """Cache construction, persistence round-trips, and format error reporting."""
 
 import csv
+import errno
 import gc
 import itertools
 import json
+import os
 import re
 import struct
 import threading
@@ -145,6 +147,15 @@ class TestConstruction:
             AccuracyCache.from_dense(dense, np.full((2, 2), 1.5, dtype=np.float32))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             AccuracyCache.from_dense(dense, np.full((2, 2), np.nan, dtype=np.float32))
+
+    @pytest.mark.parametrize("row", [0, 3, 4, 8])
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
+    def test_confidence_range_checked_in_every_band(self, monkeypatch, row, bad):
+        monkeypatch.setattr(lleval.cache, "_BAND_BYTES", 4 * 4 * 7)  # 4 rows
+        conf = np.full((9, 7), 0.5, dtype=np.float32)
+        conf[row, 6] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            AccuracyCache.from_dense(conf >= 0.5, conf)
 
     def test_non_binary_dense_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
@@ -484,6 +495,26 @@ class TestColumnSums:
         with pytest.raises(ValueError, match="confidence"):
             sort_by_confidence_sum(cache)
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("m", [0, 1, 4, 5, 33])
+    def test_confidence_sums_are_one_sum_over_the_block(
+        self, monkeypatch, tmp_path, mapped, m
+    ):
+        # values over sixty binary orders of magnitude, whose float64
+        # totals depend on the order the rows are added in; bands of 4 rows
+        n = 1003
+        rng = np.random.default_rng(m)
+        conf = rng.random((m, n)) * np.exp2(-rng.integers(0, 60, size=(m, n)))
+        conf = conf.astype(np.float32)
+        monkeypatch.setattr(lleval.cache, "_BAND_BYTES", 4 * 4 * n)
+        cache = AccuracyCache.from_dense(conf >= 0.5, conf)
+        if mapped:
+            save_cache(cache, tmp_path / "conf.llbc")
+            cache = load_cache(tmp_path / "conf.llbc")
+        sums = cache.confidence_sums()
+        assert sums.dtype == np.float64
+        assert sums.tobytes() == conf.sum(axis=0, dtype=np.float64).tobytes()
+
     def test_scratch_memory_is_one_array(self):
         import tracemalloc
 
@@ -660,6 +691,43 @@ def _csv_rows(path):
         return list(csv.reader(fh))
 
 
+def _append_ones(cache, path):
+    ones = np.ones(cache.num_models)
+    save_appended_cache(cache, path, ones, ones)
+
+
+# (save, load, value) for each writer of an artifact
+WRITERS = [
+    (save_cache, load_cache, AccuracyCache.from_dense(np.eye(3, 11) > 0)),
+    (save_permutation, load_permutation, Permutation(np.array([2, 0, 1]))),
+    (save_sums, load_sums, np.array([4.0, 2.5, 1.0])),
+    pytest.param(
+        lambda payload, path: _write_json(path, payload),
+        lambda path: json.loads(path.read_text()),
+        {"mae": 0.25, "budget": 8},
+        id="write_json",
+    ),
+    pytest.param(
+        lambda reports, path: write_error_curve(path, reports),
+        _csv_rows,
+        [ErrorReport(0.5, 0.25, 0.125, 0.0, 8)],
+        id="write_error_curve",
+    ),
+    pytest.param(  # simulate's baseline.csv
+        lambda rows, path: _write_rows(path, rows),
+        _csv_rows,
+        [("budget", "mae"), (8, "0.5")],
+        id="write_rows",
+    ),
+    pytest.param(  # n % 8 == 5, with confidences
+        _append_ones,
+        load_cache,
+        AccuracyCache.from_dense(np.eye(3, 13) > 0, np.eye(3, 13)),
+        id="save_appended_cache",
+    ),
+]
+
+
 class TestPersistence:
     def test_empty_cache_round_trip(self, tmp_path):
         cache = AccuracyCache.from_dense(np.zeros((0, 0), dtype=bool))
@@ -806,13 +874,14 @@ class TestPersistence:
             (np.arange(12, dtype=np.int32).reshape(3, 4).T, "<i8"),  # C order
         ]
         path = tmp_path / "blocks"
-        _write_blocks(path, b"HEAD", *[(b, b.dtype) for b in blocks], *converted)
         want = [b.tobytes() for b in blocks] + [v.astype(d).tobytes() for v, d in converted]
+        size = 4 + sum(map(len, want))
+        _write_blocks(path, size, b"HEAD", *[(b, b.dtype) for b in blocks], *converted)
         assert path.read_bytes() == b"HEAD" + b"".join(want)
         # the same blocks given as iterables of chunks
         chunked = [(iter(np.array_split(b, 3)), b.dtype) for b in blocks]
         chunked += [((v[:7], v[7:]), d) for v, d in converted]
-        _write_blocks(path, b"HEAD", *chunked)
+        _write_blocks(path, size, b"HEAD", *chunked)
         assert path.read_bytes() == b"HEAD" + b"".join(want)
 
     @pytest.mark.parametrize("kind", ["permutation", "sums"])
@@ -843,32 +912,7 @@ class TestPersistence:
             assert loaded.flags.writeable  # the caller's own array
             assert loaded.dtype == np.float64 and np.array_equal(loaded, order)
 
-    @pytest.mark.parametrize(
-        "save, load, value",
-        [
-            (save_cache, load_cache, AccuracyCache.from_dense(np.eye(3, 11) > 0)),
-            (save_permutation, load_permutation, Permutation(np.array([2, 0, 1]))),
-            (save_sums, load_sums, np.array([4.0, 2.5, 1.0])),
-            pytest.param(
-                lambda payload, path: _write_json(path, payload),
-                lambda path: json.loads(path.read_text()),
-                {"mae": 0.25, "budget": 8},
-                id="write_json",
-            ),
-            pytest.param(
-                lambda reports, path: write_error_curve(path, reports),
-                _csv_rows,
-                [ErrorReport(0.5, 0.25, 0.125, 0.0, 8)],
-                id="write_error_curve",
-            ),
-            pytest.param(  # simulate's baseline.csv
-                lambda rows, path: _write_rows(path, rows),
-                _csv_rows,
-                [("budget", "mae"), (8, "0.5")],
-                id="write_rows",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("save, load, value", WRITERS)
     def test_failed_write_keeps_old_file(
         self, tmp_path, monkeypatch, save, load, value
     ):
@@ -890,6 +934,9 @@ class TestPersistence:
             def __exit__(self, *exc):
                 self.fh.close()
 
+            def fileno(self):
+                return self.fh.fileno()
+
             def write(self, data):
                 self.fh.write(data[: len(data) // 2])
                 raise OSError("no space left on device")
@@ -902,6 +949,68 @@ class TestPersistence:
         monkeypatch.undo()
         assert path.read_bytes() == old
         load(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    @pytest.mark.parametrize("save, load, value", WRITERS)
+    def test_full_disk_fails_before_any_byte(
+        self, tmp_path, monkeypatch, save, load, value
+    ):
+        path = tmp_path / "artifact"
+        save(value, path)
+        old = path.read_bytes()
+        reserved = []
+
+        def full(fd, offset, length):
+            reserved.append((os.fstat(fd).st_size, offset, length))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        with pytest.raises(OSError) as info:
+            save(value, path)
+        monkeypatch.undo()
+        assert info.value.errno == errno.ENOSPC
+        # asked for the whole file before a byte of it was written
+        assert reserved == [(0, 0, len(old))]
+        assert path.read_bytes() == old
+        load(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    @pytest.mark.parametrize("save, load, value", WRITERS)
+    def test_written_the_same_without_reserved_space(
+        self, tmp_path, monkeypatch, save, load, value
+    ):
+        """Where there is no ``os.posix_fallocate``, or the file system
+        cannot reserve space, a writer writes what it writes with it."""
+        save(value, tmp_path / "reserved")
+        want = (tmp_path / "reserved").read_bytes()
+        for code in (errno.EOPNOTSUPP, errno.EINVAL):
+
+            def unsupported(fd, offset, length, code=code):
+                raise OSError(code, os.strerror(code))
+
+            monkeypatch.setattr(os, "posix_fallocate", unsupported, raising=False)
+            save(value, tmp_path / "unsupported")
+            assert (tmp_path / "unsupported").read_bytes() == want
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        save(value, tmp_path / "plain")
+        assert (tmp_path / "plain").read_bytes() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "plain", "reserved", "unsupported"
+        ]
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_length_keeps_old_file(self, tmp_path, extra):
+        """A write one byte short of or past its declared length raises,
+        and the old file stays."""
+        path = tmp_path / "artifact"
+        _write_blocks(path, 8, b"HEAD", (np.arange(4, dtype=np.uint8), "u1"))
+        old = path.read_bytes()
+        data = np.arange(4 + extra, dtype=np.uint8)
+        with pytest.raises(RuntimeError, match="expected 8"):
+            _write_blocks(path, 8, b"head", (data, "u1"))
+        with pytest.raises(RuntimeError, match="expected 8"):  # as chunks
+            _write_blocks(path, 8, b"head", (iter([data[:2], data[2:]]), "u1"))
+        assert path.read_bytes() == old == b"HEAD\0\1\2\3"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 

@@ -78,6 +78,29 @@ class TestImport:
         assert "error:" in capsys.readouterr().err
 
 
+def _run_child(child, tmp_path):
+    """The numbers the Python source ``child`` prints last, run with
+    ``tmp_path`` as its argument.  Linux carries a peak RSS across fork and
+    exec, so the child is started by a bare interpreter, not by this
+    process."""
+    src = str(Path(lleval.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    argv = [sys.executable, "-c", launch, sys.executable, "-c", child, str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return map(int, proc.stdout.splitlines()[-1].split())
+
+
+# a child's own peak RSS: ``RUSAGE_CHILDREN`` would keep earlier children's
+_PEAK = (
+    "import resource, sys\n"
+    "def peak():\n"
+    "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+)
+
+
 class TestSort:
     def test_writes_permutation_and_sums(self, small_setup):
         tmp_path, dense, _, perm_path = small_setup
@@ -153,14 +176,11 @@ class TestSort:
         assert np.all(np.diff(sums) <= 0)
 
     def test_mapped_passes_keep_the_file_out_of_rss(self, tmp_path):
-        """A child's own peak RSS (``RUSAGE_SELF``: ``RUSAGE_CHILDREN`` keeps
-        earlier children's peaks) while ``lleval sort`` ranks a 64 MB mapped
+        """A child's own peak RSS while ``lleval sort`` ranks a 64 MB mapped
         cache stays below the file's size plus the child's RSS once it has
         imported lleval.  ``load_cache``'s padding check (n % 8 != 0 here)
         and then ``insert-sample --append-out``, which reads every row twice,
-        each add under half the file.  Linux carries a peak RSS across fork
-        and exec, so the child is started by a bare interpreter, not by this
-        process."""
+        each add under half the file."""
         m, n = 320, 1_680_005  # 210,001-byte rows
         rng = np.random.default_rng(24)
         bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
@@ -170,12 +190,9 @@ class TestSort:
         write_vector(tmp_path / "col.csv", rng.random(m) < 0.5)
         size = (tmp_path / "big.llbc").stat().st_size
         assert size >= 64 << 20
-        child = (
-            "import resource, sys\n"
+        child = _PEAK + (
             "from lleval import load_cache\n"
             "from lleval.cli import main\n"
-            "def peak():\n"
-            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
             "cache, out = sys.argv[1] + '/big.llbc', sys.argv[1] + '/big.llpm'\n"
             "peaks = [peak()]\n"
             "load_cache(cache)\n"
@@ -188,19 +205,38 @@ class TestSort:
             "                 '--append-out', sys.argv[1] + '/grown.llbc']))\n"
             "print(*rcs, *peaks, peak())\n"
         )
-        src = str(Path(lleval.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-        argv = [sys.executable, "-c", launch, sys.executable, "-c", child, str(tmp_path)]
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        *rcs, imported, loaded, ranked, inserted = map(int, proc.stdout.split()[-6:])
+        *rcs, imported, loaded, ranked, inserted = _run_child(child, tmp_path)
         assert rcs == [0, 0]
         assert loaded - imported < size // 2
         assert ranked < imported + size
         assert inserted - imported < size // 2
         assert load_cache(tmp_path / "grown.llbc").num_samples == n + 1
+
+    def test_conf_sort_keeps_the_block_out_of_rss(self, tmp_path):
+        """``lleval sort --method conf`` on a mapped 100 x 200,000 cache,
+        whose confidence block is 80 MB, adds under half the file to the
+        child's peak RSS: it sums a band of rows at a time."""
+        m, n = 100, 200_000
+        conf = np.random.default_rng(25).random((m, n), dtype=np.float32)
+        save_cache(AccuracyCache.from_dense(conf >= 0.5, conf), tmp_path / "conf.llbc")
+        want = conf.sum(axis=0, dtype=np.float64)
+        del conf
+        size = (tmp_path / "conf.llbc").stat().st_size
+        child = _PEAK + (
+            "from lleval.cli import main\n"
+            "imported = peak()\n"
+            "rc = main(['sort', '--method', 'conf', '--cache', sys.argv[1] + '/conf.llbc',\n"
+            "           '--out', sys.argv[1] + '/conf.llpm'])\n"
+            "print(rc, imported, peak())\n"
+        )
+        rc, imported, ranked = _run_child(child, tmp_path)
+        assert rc == 0
+        assert ranked - imported < size // 2
+        from lleval import load_permutation, load_sums
+
+        order = load_permutation(tmp_path / "conf.llpm").order
+        assert np.array_equal(order, np.lexsort((np.arange(n), -want)))
+        assert np.array_equal(load_sums(tmp_path / "conf.llsm"), want[order])
 
 
 class TestEvalModel:
@@ -428,6 +464,32 @@ class TestInsertSample:
         grown = load_cache(cache_path)
         assert grown == load_cache(separate)
         assert np.array_equal(grown.to_dense()[:, :60], dense)
+        assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+
+    def test_full_disk_is_one_error_line(self, small_setup, monkeypatch, capsys):
+        """No space for the grown cache: one ``error:`` line, exit 1, and the
+        input it was to replace is kept whole."""
+        import errno
+
+        tmp_path, dense, cache_path, perm_path = small_setup
+        outcomes_path = tmp_path / "col.csv"
+        write_vector(outcomes_path, dense[:, 0])
+        old = cache_path.read_bytes()
+        capsys.readouterr()
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        rc = main(["insert-sample", "--cache", str(cache_path), "--outcomes",
+                   str(outcomes_path), "--budget", "5", "--append-out", str(cache_path)])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert os.strerror(errno.ENOSPC) in err
+        assert cache_path.read_bytes() == old
+        assert load_cache(cache_path).num_samples == 60
         assert not [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
 
     @pytest.mark.parametrize("confidence", [False, True])
