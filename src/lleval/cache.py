@@ -44,10 +44,9 @@ _INT32_MAX = np.iinfo(np.int32).max
 # threads sharing one cache build it once, not once each
 _BYTE_COLUMNS_LOCK = threading.Lock()
 
-# packed bytes popcounted at once by ``row_sums``: bounds that scratch
-_POPCOUNT_CHUNK_BYTES = 1 << 20
-# bytes of grown rows ``save_appended_cache`` builds at once
-_GROW_CHUNK_BYTES = 1 << 20
+# bytes of a mapped chunk of rows copied to scratch at once: popcounted by
+# ``row_sums``, or grown by ``save_appended_cache``
+_CHUNK_BYTES = 1 << 20
 # packed bytes per ``column_sums`` tile: its bit planes and carries stay in L2
 _TILE_BYTES = 1 << 16
 # packed bytes of rows that ``column_sums`` and the padding check read from
@@ -159,28 +158,13 @@ def _csa(
     """Carry-save add of packed bits: acc + x + y = acc' + 2 * carry.
 
     Five in-place passes; ``carry`` may be ``x``, never ``acc``, ``y`` or ``tmp``.
+    ``_add_16`` is fifteen of these.
     """
     np.bitwise_xor(acc, x, out=tmp)
     np.bitwise_and(acc, x, out=carry)
     np.bitwise_xor(tmp, y, out=acc)
     np.bitwise_and(tmp, y, out=tmp)
     np.bitwise_or(carry, tmp, out=carry)
-
-
-def _add_tree(
-    planes: np.ndarray, rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
-) -> None:
-    """Add 2**d rows (d >= 1) into ``planes[:d]``; their weight-2**d carry
-    goes to ``out``.  Uses ``scratch[:d]``."""
-    d = len(rows).bit_length() - 1
-    if d == 1:
-        x, y = rows
-    else:
-        half = len(rows) // 2
-        _add_tree(planes, rows[:half], out, scratch)
-        _add_tree(planes, rows[half:], scratch[d - 1], scratch)
-        x, y = out, scratch[d - 1]
-    _csa(planes[d - 1], x, y, out, scratch[0])
 
 
 def _ripple(planes: np.ndarray, carry: np.ndarray, spares: np.ndarray) -> None:
@@ -196,50 +180,38 @@ def _ripple(planes: np.ndarray, carry: np.ndarray, spares: np.ndarray) -> None:
     np.bitwise_xor(planes[-1], carry, out=planes[-1])
 
 
-def _add_rows(
-    planes: np.ndarray, held: list, first: int, rows: np.ndarray, spare: np.ndarray
-) -> None:
-    """Add packed ``rows`` into the bit planes of a counter that has added
-    ``first`` rows before them.
+def _add_16(planes: np.ndarray, rows: np.ndarray, scratch: np.ndarray) -> None:
+    """Add 16 packed ``rows`` into the counter whose bit planes are
+    ``planes``: one Harley-Seal step (Muła, Kurz & Lemire, arXiv 1611.07612).
 
-    As a binary counter does, the counter holds a carry of weight 2**l in
-    ``held[l]`` for each set bit l of the number of rows added.  Rows go in
-    as groups of 2**d, aligned to their size, each summed by a carry-save
-    tree whose carry then merges with the held carries at levels d and up.
-    So however rows are split between calls, the adds are those of one tree
-    over all of them, and no carry ripples until the caller ripples the held
-    ones in (``_ripple``).  ``spare`` is two scratch rows.
-
-    Module-level functions, not closures: a closure that calls itself is a
-    reference cycle that would keep the mapped cache alive until the next
-    collection.
+    Fifteen carry-save adds fold the rows into planes 0-3, and their one
+    carry of weight 16 ripples into planes 4 and up, so no carry outlives
+    the step.  ``scratch`` is five rows: the carries pass through the first
+    four, and the fifth is each add's temporary.
     """
-    out, tmp = spare
-    count, end = first, first + len(rows)
-    while count < end:
-        d = (end - count).bit_length() - 1
-        if count:
-            d = min(d, (count & -count).bit_length() - 1)
-        top = d  # the level where the group's carry comes to rest
-        while count >> top & 1:
-            top += 1
-        group = rows[count - first : count - first + (1 << d)]
-        if d:  # held[:d] is free scratch: count is a multiple of 2**d
-            carry = held[d] if top == d else out
-            _add_tree(planes, group, carry, held)
-        else:
-            carry = group[0]
-            if top == 0:
-                held[0][...] = carry
-        for level in range(d, top):
-            merged = held[top] if level == top - 1 else out
-            _csa(planes[level], carry, held[level], merged, tmp)
-            carry = merged
-        count += 1 << d
+    p0, p1, p2, p3 = planes[:4]
+    a, b, c, d, t = scratch
+    _csa(p0, rows[0], rows[1], a, t)
+    _csa(p0, rows[2], rows[3], b, t)
+    _csa(p1, a, b, a, t)  # a: weight 4, rows 0-3
+    _csa(p0, rows[4], rows[5], b, t)
+    _csa(p0, rows[6], rows[7], c, t)
+    _csa(p1, b, c, b, t)
+    _csa(p2, a, b, a, t)  # a: weight 8, rows 0-7
+    _csa(p0, rows[8], rows[9], b, t)
+    _csa(p0, rows[10], rows[11], c, t)
+    _csa(p1, b, c, b, t)
+    _csa(p0, rows[12], rows[13], c, t)
+    _csa(p0, rows[14], rows[15], d, t)
+    _csa(p1, c, d, c, t)
+    _csa(p2, b, c, b, t)  # b: weight 8, rows 8-15
+    _csa(p3, a, b, a, t)  # a: weight 16
+    _ripple(planes[4:], a, scratch[1:3])
 
 
 def _band_rows(row_bytes: int) -> int:
-    """Rows in a band: the largest power of two within ``_BAND_BYTES``, or 1."""
+    """Rows in a band: the largest power of two within ``_BAND_BYTES``, or
+    1.  ``column_sums`` reads at least 16, whole groups for ``_add_16``."""
     return 1 << max(0, (_BAND_BYTES // max(1, row_bytes)).bit_length() - 1)
 
 
@@ -458,16 +430,17 @@ class AccuracyCache:
 
         Bit-sliced: the counts live in packed bit planes covering every
         column, one per bit of the row count, and rows are added as packed
-        bytes by carry-save adder trees (``_add_rows``), never unpacked.
-        Rows are read in bands of at most ``_BAND_BYTES``, a power of two
-        of rows each, and a band is added one ``_TILE_BYTES`` tile of
-        columns at a time, so that tile's planes stay in L2 while the
-        band's rows pass; a mapped band is then released (``_release``).
-        Each plane is unpacked once, ``_SLICE_BYTES`` at a time.  Rows
-        shorter than ``_SLICE_BYTES`` are first laid k side by side (k the
-        largest divisor of m that fits), so each bitwise pass covers more
-        bytes; the k partial counts are summed when unpacked.  The
-        length-n result is the only large array.
+        bytes, never unpacked, 16 at a time by one Harley-Seal step
+        (``_add_16``); the rows past the last whole 16 are rippled in one
+        at a time (``_ripple``).  Rows are read in bands of at least 16
+        (``_band_rows``), and a band is added one ``_TILE_BYTES`` tile of
+        columns at a time, so that tile's planes and five scratch rows stay
+        in L2 while the band's rows pass; a mapped band is then released
+        (``_release``).  Each plane is unpacked once, ``_SLICE_BYTES`` at a
+        time.  Rows shorter than ``_SLICE_BYTES`` are first laid k side by
+        side (k the largest divisor of m that fits), so each bitwise pass
+        covers more bytes; the k partial counts are summed when unpacked.
+        The length-n result is the only large array.
         """
         m, n = self.num_models, self.num_samples
         dtype = np.int32 if m <= _INT32_MAX else np.int64
@@ -483,24 +456,19 @@ class AccuracyCache:
         depth = (m // k).bit_length()
         fold_dtype = np.min_scalar_type(m)
         planes = np.zeros((depth, width), np.uint8)
-        # a band is 2**b rows: carries of level b and up are held from band
-        # to band, for every column; those below b only within a band, for
-        # one tile at a time, beside two spare rows
-        b = _band_rows(width).bit_length() - 1
-        held_wide = np.empty((max(0, depth - b), width), np.uint8)
-        stack = np.empty((min(b, depth) + 2, min(width, _TILE_BYTES)), np.uint8)
-        for first in range(0, len(rows), 1 << b):
-            band = rows[first : first + (1 << b)]
+        scratch = np.empty((5, min(width, _TILE_BYTES)), np.uint8)
+        step = max(16, _band_rows(width))
+        for first in range(0, len(rows), step):
+            band = rows[first : first + step]
+            whole = len(band) - len(band) % 16
             for lo in range(0, width, _TILE_BYTES):
                 cols = slice(lo, lo + _TILE_BYTES)
-                tile = band[:, cols]
-                bufs = stack[:, : tile.shape[1]]
-                held = [*bufs[:-2], *held_wide[:, cols]]
-                _add_rows(planes[:, cols], held, first, tile, bufs[-2:])
-                if first + len(band) == len(rows):  # ripple the held carries in
-                    for level in range(depth):
-                        if len(rows) >> level & 1:
-                            _ripple(planes[level:, cols], held[level], bufs[-2:])
+                tile, tile_planes = band[:, cols], planes[:, cols]
+                bufs = scratch[:, : tile.shape[1]]
+                for g in range(0, whole, 16):
+                    _add_16(tile_planes, tile[g : g + 16], bufs)
+                for row in tile[whole:]:
+                    _ripple(tile_planes, row, bufs[:2])
             _release(band)
         for s in range(0, width, _SLICE_BYTES):
             block = planes[:, s : s + _SLICE_BYTES].reshape(depth, k, -1)
@@ -556,7 +524,7 @@ class AccuracyCache:
         """
         m, rb = self.bits.shape
         words = -(-rb // 8)
-        step = max(1, _POPCOUNT_CHUNK_BYTES // max(1, 8 * words))
+        step = max(1, _CHUNK_BYTES // max(1, 8 * words))
         scratch = np.zeros((min(m, step), words), dtype=np.uint64)
         row_bytes = scratch.view(np.uint8)[:, :rb]
         # an int32 sum is about twice as fast as numpy's default uint64 one
@@ -816,9 +784,9 @@ def _grown_chunks(
     block: np.ndarray, col: np.ndarray, width: int, n: int, grow
 ) -> Iterable[np.ndarray]:
     """The rows of ``block`` grown by ``col`` to ``width`` items, as one
-    reused buffer of at most ``_GROW_CHUNK_BYTES``, or one row, refilled by
+    reused buffer of at most ``_CHUNK_BYTES``, or one row, refilled by
     ``grow`` for each chunk of rows; a mapped chunk is released once read."""
-    step = max(1, _GROW_CHUNK_BYTES // max(1, width * block.itemsize))
+    step = max(1, _CHUNK_BYTES // max(1, width * block.itemsize))
     buf = np.empty((min(step, len(block)), width), dtype=block.dtype)
     for lo in range(0, len(block), step):
         out = buf[: min(step, len(block) - lo)]

@@ -13,7 +13,9 @@ import os
 import shlex
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -216,6 +218,23 @@ def _thread_count() -> int:
     return int(raw) or (os.cpu_count() or 1)
 
 
+def _windowed_map(pool: Executor, window: int, fn, items):
+    """``pool.map(fn, items)`` that submits at most ``window`` tasks ahead
+    of the result its caller takes: results come in order, and no more than
+    ``window`` finished ones wait for the caller."""
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .synthgen import SynthSpec, generate
 
@@ -240,9 +259,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     _check_parents(out_dir / "curve.csv", args.save_cache)
     # rows, then held-out models; the pool starts a worker only when a task
-    # finds none idle, so LLEVAL_THREADS past the work starts no extra thread
+    # finds none idle, so LLEVAL_THREADS past the work starts no extra thread.
+    # Rows are packed in order, so a window bounds the n-byte rows that
+    # wait for a slow one
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        cache_full, _, _ = generate(spec, map=pool.map)
+        cache_full, _, _ = generate(spec, map=partial(_windowed_map, pool, 2 * threads))
         if args.save_cache:
             save_cache(cache_full, args.save_cache)
         sort_cache = cache_full.first_models(args.models)

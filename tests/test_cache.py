@@ -217,7 +217,7 @@ class TestAppend:
         save_cache(append_column(cache, col, conf), want)
         # a chunk of two rows, and one row when a row is wider than a chunk
         for chunk in (2 * (n // 8 + 1), 1, 1 << 20):
-            monkeypatch.setattr(lleval.cache, "_GROW_CHUNK_BYTES", chunk)
+            monkeypatch.setattr(lleval.cache, "_CHUNK_BYTES", chunk)
             save_appended_cache(cache, tmp_path / "got.llbc", col, conf)
             assert (tmp_path / "got.llbc").read_bytes() == want.read_bytes(), chunk
         save_appended_cache(cache, path, col, conf)  # onto the mapped input
@@ -597,7 +597,9 @@ class TestColumnSums:
         + [(m, 8 * _TILE_BYTES + 5) for m in (15, 16, 17, 31, 32, 33)],
     )
     def test_carry_save_groups_match_bit_planes(self, m, n):
-        # rows of 1003 columns are laid side by side, the wider ones are not
+        # m one short of, at and one past whole 16-row groups, and at 1023
+        # to 1025 rows of 15 KiB, of 512-row bands; rows of 1003 columns are
+        # laid side by side, the wider ones are not
         cache = packed_cache(m, n, seed=m + 3 * n)
         assert np.array_equal(cache.column_sums(), column_sums_ref(cache.bits, n))
 
@@ -636,20 +638,34 @@ class TestColumnSums:
     @pytest.mark.parametrize("mapped", [False, True])
     @pytest.mark.parametrize("n, k", [(8 * _TILE_BYTES + 5, 1), (1003, 121)])
     @pytest.mark.parametrize(
-        "band, rows", [(4, 3), (4, 4), (4, 5), (4, 31), (4, 33), (1, 1), (1, 7)]
+        "band, rows",
+        [(4, 3), (4, 4), (4, 5), (4, 31), (4, 33), (1, 1), (1, 7)]
+        + [(band, rows) for band in (16, 32) for rows in (15, 16, 17, 31, 33, 49)],
     )
     def test_band_edges_match_bit_planes(
         self, monkeypatch, tmp_path, mapped, n, k, band, rows
     ):
-        # band rows - 1, band rows and band rows + 1, and carries held over
-        # several bands; with n = 1003, 121 rows sit side by side as one
+        # rows one short of, at and past a band, and whole 16-row groups
+        # with rows over in the last band; bands patched below 16 rows are
+        # read as 16-row bands.  With n = 1003, 121 rows sit side by side
+        # as one
         monkeypatch.setattr(lleval.cache, "_BAND_BYTES", band * k * ((n + 7) // 8))
+        read, release = [], lleval.cache._release
+
+        def counted(band_rows):
+            read.append(len(band_rows))
+            release(band_rows)
+
+        monkeypatch.setattr(lleval.cache, "_release", counted)
+        step = max(16, band)
         for seed in (None, rows):  # all ones carry into the top plane
             cache = packed_cache(rows * k, n, seed=seed)
             if mapped:
                 save_cache(cache, tmp_path / "cache.llbc")
                 cache = load_cache(tmp_path / "cache.llbc")
+            read.clear()
             assert np.array_equal(cache.column_sums(), column_sums_ref(cache.bits, n))
+            assert read == [min(step, rows - lo) for lo in range(0, rows, step)]
 
     def test_copy_on_write_map_keeps_its_writes(self, tmp_path):
         # pages of a private map hold its writes: releasing them would
@@ -677,7 +693,7 @@ class TestColumnSums:
     @pytest.mark.parametrize("n", [0, 128, 129, 135, 136, 191])  # n % 64: 0, 1, 7, 8, 63
     @pytest.mark.parametrize("chunk", [64, 1 << 20])  # 37 rows: 19 chunks, or 1
     def test_row_sums_match_byte_popcounts(self, monkeypatch, m, n, chunk):
-        monkeypatch.setattr(lleval.cache, "_POPCOUNT_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(lleval.cache, "_CHUNK_BYTES", chunk)
         cache = packed_cache(m, n, seed=m + n)
         sums = cache.row_sums()
         assert sums.dtype == np.int64

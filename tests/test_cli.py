@@ -520,7 +520,7 @@ class TestInsertSample:
         one chunk and length-m arrays, never the cache."""
         import tracemalloc
 
-        from lleval.cache import _GROW_CHUNK_BYTES, _POPCOUNT_CHUNK_BYTES
+        from lleval.cache import _CHUNK_BYTES
 
         m, n = 128, 1_048_579
         rng = np.random.default_rng(93)
@@ -544,8 +544,8 @@ class TestInsertSample:
         tracemalloc.stop()
         assert rc == 0
         assert load_cache(tmp_path / "grown.llbc").num_samples == n + 1
-        chunk = max(_POPCOUNT_CHUNK_BYTES, _GROW_CHUNK_BYTES)  # one at a time
-        assert peak - before <= 1024 * m + chunk + (1 << 20)  # the cache is 16.8 MB
+        # one chunk at a time; the cache is 16.8 MB
+        assert peak - before <= 1024 * m + _CHUNK_BYTES + (1 << 20)
 
     def test_append_to_confidence_cache(self, tmp_path):
         rng = np.random.default_rng(91)
@@ -755,6 +755,44 @@ class TestSimulate:
         assert (tmp_path / "serial.llbc").read_bytes() == (
             tmp_path / "threaded.llbc"
         ).read_bytes()
+
+    def test_finished_rows_wait_in_a_window(self, tmp_path, monkeypatch):
+        # rows are packed in order; behind a slow packer, at most 2 x
+        # LLEVAL_THREADS finished rows may wait, not every row of the cache
+        import threading
+        import time
+
+        from lleval import synthgen
+
+        lock, counts = threading.Lock(), {"done": 0, "packed": 0, "waiting": 0}
+        generate = synthgen.generate
+
+        def counted(fn, items, map):
+            def row(i):
+                outcomes = fn(i)
+                with lock:
+                    counts["done"] += 1
+                    waiting = counts["done"] - counts["packed"]
+                    counts["waiting"] = max(counts["waiting"], waiting)
+                return outcomes
+
+            for outcomes in map(row, items):
+                time.sleep(0.002)
+                with lock:
+                    counts["packed"] += 1
+                yield outcomes
+
+        def slow_packer(spec, include_confidence=False, map=map):
+            return generate(
+                spec, include_confidence, lambda fn, items: counted(fn, items, map)
+            )
+
+        monkeypatch.setattr(synthgen, "generate", slow_packer)
+        monkeypatch.setenv("LLEVAL_THREADS", "4")
+        assert main(["simulate", "--models", "60", "--holdout", "3", "--samples",
+                     "200", "--budgets", "8,32", "--out", str(tmp_path / "out")]) == 0
+        assert counts["packed"] == 63
+        assert 1 <= counts["waiting"] <= 8
 
     SMALL_SWEEP = ["simulate", "--models", "12", "--holdout", "3", "--samples",
                    "200", "--seed", "4", "--budgets", "8,32"]

@@ -21,7 +21,7 @@ from lleval import (
     stable_append,
     threshold_all_rows,
 )
-from lleval.cache import _POPCOUNT_CHUNK_BYTES, _TILE_BYTES
+from lleval.cache import _CHUNK_BYTES, _TILE_BYTES
 from lleval.sort import _sort_descending
 
 
@@ -127,7 +127,7 @@ class TestSortModelsBySum:
         tracemalloc.stop()
         assert len(result.permutation) == m
         # one chunk of popcounts plus length-m arrays; an m x n array is 200 MB
-        assert peak - before <= _POPCOUNT_CHUNK_BYTES + (1 << 20)
+        assert peak - before <= _CHUNK_BYTES + (1 << 20)
 
 
 class TestSortByConfidenceSum:
