@@ -2,8 +2,8 @@
 
 Rank all samples once from cached model outcomes, then evaluate each new
 model on a small budgeted subset and extrapolate its full outcome vector;
-``evaluate_new_model`` on a ranking of the models (``sort_models_by_sum``)
-ranks new samples the same way.
+``evaluate`` on a ranking of the models (``sort_models_by_sum``) ranks new
+samples the same way.
 """
 
 from .baseline import copy_nearest_expand_from_truth
@@ -38,7 +38,7 @@ from .search import (
     SampleSelection,
     SamplingStrategy,
     dp_search,
-    evaluate_from_truth,
+    evaluate,
     evaluate_new_model,
     extrapolate,
     prediction_from_dict,
@@ -80,7 +80,7 @@ __all__ = [
     "copy_nearest_expand_from_truth",
     "dp_search",
     "error_decomposition",
-    "evaluate_from_truth",
+    "evaluate",
     "evaluate_new_model",
     "extrapolate",
     "fit_exp_decay",

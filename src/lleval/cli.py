@@ -23,8 +23,6 @@ import numpy as np
 
 from .baseline import copy_nearest_expand_from_truth
 from .cache import (
-    SortMethod,
-    SortResult,
     _check_parents,
     _read_json,
     _read_outcomes,
@@ -33,7 +31,6 @@ from .cache import (
     import_csv,
     load_cache,
     load_permutation,
-    load_sums,
     save_appended_cache,
     save_cache,
     save_permutation,
@@ -50,8 +47,7 @@ from .metrics import (
 )
 from .search import (
     SamplingStrategy,
-    evaluate_from_truth,
-    evaluate_new_model,
+    evaluate,
     prediction_from_dict,
     prediction_to_dict,
 )
@@ -64,7 +60,13 @@ def _parse_budgets(text: str | None, total: int) -> list[int]:
     if text is None:
         budgets = [b for b in PAPER_BUDGETS if 1 <= b <= total]
     else:
-        budgets = sorted({int(tok) for tok in text.split(",") if tok.strip()})
+        budgets = set()
+        for tok in filter(None, map(str.strip, text.split(","))):
+            try:
+                budgets.add(int(tok))
+            except ValueError:
+                raise ValueError(f"--budgets has {tok!r}, not a whole number") from None
+        budgets = sorted(budgets)
     if not budgets:
         raise ValueError("no budgets to evaluate")
     for b in budgets:
@@ -74,11 +76,12 @@ def _parse_budgets(text: str | None, total: int) -> list[int]:
 
 
 def _command_oracle(command: str):
+    """A batch oracle that runs ``command <index>`` once per index, in order."""
     argv = shlex.split(command)
     if not argv:
         raise ValueError("--oracle-cmd is empty; give the command to run")
 
-    def oracle(index: int) -> bool:
+    def ask(index: int) -> bool:
         proc = subprocess.run(argv + [str(index)], capture_output=True)
         if proc.returncode:  # negative: the signal that ended it
             said = proc.stderr.decode(errors="replace").strip().splitlines()
@@ -93,17 +96,11 @@ def _command_oracle(command: str):
             raise ValueError(f"oracle command returned {text!r}, expected 0 or 1")
         return answer == b"1"
 
-    return oracle
+    return lambda indices: [ask(i) for i in indices.tolist()]
 
 
 def _sums_path(perm_path: str | Path) -> Path:
     return Path(perm_path).with_suffix(".llsm")
-
-
-def _load_sort_result(perm_path: str | Path) -> SortResult:
-    perm = load_permutation(perm_path)
-    sums = load_sums(_sums_path(perm_path))
-    return SortResult(perm, sums, SortMethod.SUM)
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -141,8 +138,10 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_model(args: argparse.Namespace) -> int:
-    sort_result = _load_sort_result(args.perm)
-    total = sort_result.num_samples
+    if args.seed < 0:  # at either strategy, before any oracle query
+        raise ValueError(f"--seed must be non-negative, not {args.seed}")
+    perm = load_permutation(args.perm)
+    total = len(perm)
     if args.cache:
         cache = load_cache(args.cache)
         if cache.num_samples != total:
@@ -151,7 +150,8 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     strategy = SamplingStrategy(args.strategy)
     if args.truth is not None:
         truth = _read_outcomes(args.truth, total, "truth")
-        scorer = RankedTruth(truth, sort_result.permutation)  # one for every budget
+        scorer = RankedTruth(truth, perm)  # one for every budget
+        oracle = truth.__getitem__
     else:
         oracle = _command_oracle(args.oracle_cmd)
     out_dir = Path(args.out)
@@ -160,12 +160,10 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     reports = []
     for budget in budgets:
         seed = _derived_seed(args.seed, budget)
+        pred, sel = evaluate(perm, oracle, budget, strategy, seed)
         if args.truth is not None:
-            pred, sel = evaluate_from_truth(sort_result, truth, budget, strategy, seed)
             reports.append(scorer.report(pred.k, budget))
             _write_json(out_dir / f"report_{budget}.json", reports[-1].to_dict())
-        else:
-            pred, sel = evaluate_new_model(sort_result, oracle, budget, strategy, seed)
         _write_json(out_dir / f"prediction_{budget}.json", prediction_to_dict(pred, sel))
     if reports:
         write_error_curve(out_dir / "curve.csv", reports)
@@ -174,6 +172,8 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_insert_sample(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # at either strategy, before any oracle query
+        raise ValueError(f"--seed must be non-negative, not {args.seed}")
     cache = load_cache(args.cache)
     if cache.num_models == 0:
         raise ValueError("cache has no models to rank")
@@ -183,10 +183,10 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
     budget = args.budget
     if args.outcomes is not None:
         outcomes = _read_outcomes(args.outcomes, cache.num_models, "outcomes")
-        pred, sel = evaluate_from_truth(model_sort, outcomes, budget, strategy, args.seed)
+        oracle = outcomes.__getitem__
     else:
         oracle = _command_oracle(args.oracle_cmd)
-        pred, sel = evaluate_new_model(model_sort, oracle, budget, strategy, args.seed)
+    pred, sel = evaluate(model_sort.permutation, oracle, budget, strategy, args.seed)
     record = prediction_to_dict(pred, sel)
     record["difficulty_rank"] = pred.k  # models expected to solve it
     if args.outcomes is not None:
@@ -275,7 +275,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             reports, baseline_maes = [], []
             for budget in budgets:
                 seed = _derived_seed(spec.seed, h, budget)
-                pred, _ = evaluate_from_truth(sort_result, truth, budget, strategy, seed)
+                pred, _ = evaluate(sort_result.permutation, truth.__getitem__,
+                                   budget, strategy, seed)
                 reports.append(scorer.report(pred.k, budget))
                 if run_baseline:
                     guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, seed)

@@ -12,8 +12,10 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .cache import (
+    Permutation,
     SortResult,
     ThresholdVector,
     _outcomes,
@@ -22,6 +24,7 @@ from .cache import (
 )
 
 Oracle = Callable[[int], bool]
+BatchOracle = Callable[[np.ndarray], ArrayLike]
 
 
 class SamplingStrategy(str, Enum):
@@ -136,19 +139,29 @@ def _pick_positions(
     return random_positions(total, budget, seed)
 
 
-def _evaluate(
-    sort: SortResult,
-    observe: Callable[[np.ndarray], np.ndarray],
+def evaluate(
+    perm: Permutation,
+    oracle: BatchOracle,
     budget: int,
-    strategy: SamplingStrategy,
-    seed: int | None,
+    strategy: SamplingStrategy = SamplingStrategy.UNIFORM,
+    seed: int | None = None,
 ) -> tuple[ThresholdVector, SampleSelection]:
-    """Observe ``budget`` ranked positions at their original indices, extrapolate."""
-    order = sort.permutation.order
+    """Predict a new model's full outcome vector from ``budget`` queries.
+
+    Positions are chosen in rank coordinates, and ``oracle`` is asked once,
+    with the original indices at those positions: an integer array, of the
+    permutation's dtype, in rank order.  A truth row's ``__getitem__`` is
+    such an oracle.  It returns one answer per index, each a bool or a
+    number 0 or 1; a string such as "0" is an error, not a truthy hit.
+    Given a ranking of models from ``sort_models_by_sum``, it ranks a new
+    sample instead: the threshold counts the models expected to get it
+    right, so higher means easier.
+    """
+    order = perm.order
     total = order.size
     strategy = SamplingStrategy(strategy)
     positions = _pick_positions(total, budget, strategy, seed)
-    outcomes = _outcomes(observe(order[positions]), positions.size)
+    outcomes = _outcomes(oracle(order[positions]), positions.size, "oracle answers")
     selection = SampleSelection._built(
         positions,
         outcomes,
@@ -165,37 +178,13 @@ def evaluate_new_model(
     strategy: SamplingStrategy = SamplingStrategy.UNIFORM,
     seed: int | None = None,
 ) -> tuple[ThresholdVector, SampleSelection]:
-    """Predict a new model's full outcome vector from ``budget`` queries.
+    """``evaluate`` with a per-index oracle, asked exactly ``budget`` times,
+    once per index as a plain int, in rank order."""
 
-    Positions are chosen in rank coordinates; the oracle is asked exactly
-    ``budget`` times, at the corresponding original sample indices.  Given a
-    ranking of models from ``sort_models_by_sum``, it ranks a new sample
-    instead: the threshold counts the models expected to get it right, so
-    higher means easier.  Each answer must be a bool or a number 0 or 1; a
-    string such as "0" is an error, not a truthy hit.
-    """
+    def ask(indices: np.ndarray) -> list:
+        return [oracle(i) for i in indices.tolist()]
 
-    def observe(indices: np.ndarray) -> np.ndarray:
-        answers = [oracle(i) for i in indices.tolist()]  # once each, in order
-        return _outcomes(answers, name="oracle answers")
-
-    return _evaluate(sort, observe, budget, strategy, seed)
-
-
-def evaluate_from_truth(
-    sort: SortResult,
-    truth: np.ndarray,
-    budget: int,
-    strategy: SamplingStrategy = SamplingStrategy.UNIFORM,
-    seed: int | None = None,
-) -> tuple[ThresholdVector, SampleSelection]:
-    """``evaluate_new_model`` for a fully known outcome row.
-
-    ``truth`` is indexed in original coordinates; results are identical to
-    wrapping it in a per-index oracle.
-    """
-    truth = _outcomes(truth, sort.num_samples, "truth")
-    return _evaluate(sort, truth.__getitem__, budget, strategy, seed)
+    return evaluate(sort.permutation, ask, budget, strategy, seed)
 
 
 # -- JSON interchange --------------------------------------------------------

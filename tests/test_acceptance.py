@@ -25,7 +25,7 @@ from lleval import (
     copy_nearest_expand_from_truth,
     dp_search,
     error_decomposition,
-    evaluate_from_truth,
+    evaluate,
     fit_exp_decay,
     generate,
     holdout_abilities,
@@ -191,7 +191,7 @@ def synth():
             return (k - int(prefix[k])) + (ones - int(prefix[k]))
 
         for bi, budget in enumerate(BUDGETS):
-            pred, _ = evaluate_from_truth(sort_result, truth, budget)
+            pred, _ = evaluate(sort_result.permutation, truth.__getitem__, budget)
             maes[h, bi] = mismatches(pred.k) / n
             epis[h, bi] = abs(k_best - pred.k) / n
             if budget == 512:
@@ -266,7 +266,7 @@ def test_criterion_7_sequential_stability(synth):
         current = synth.sort
         for t in range(100):
             truth = holdout_outcomes(synth.spec, float(abilities[t]))
-            pred, _ = evaluate_from_truth(current, truth, 512)
+            pred, _ = evaluate(current.permutation, truth.__getitem__, 512)
             score = mae(truth, pred, current.permutation)
             if t == 0:
                 first_maes.append(score)

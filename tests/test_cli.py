@@ -15,10 +15,11 @@ from lleval import (
     AccuracyCache,
     SynthSpec,
     error_decomposition,
-    evaluate_from_truth,
+    evaluate,
     generate,
     load_cache,
     save_cache,
+    save_sums,
     sort_by_sum,
     sort_models_by_sum,
 )
@@ -345,6 +346,65 @@ class TestEvalModel:
         assert rc == 2
         assert "truth" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["uniform", "random"])
+    def test_runs_without_the_totals_sidecar(self, small_setup, strategy):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        truth_path = tmp_path / "truth.csv"
+        write_vector(truth_path, dense[3])
+        alone = tmp_path / "alone" / "sorted.llpm"
+        alone.parent.mkdir()
+        alone.write_bytes(perm_path.read_bytes())
+        args = ["eval-model", "--truth", str(truth_path), "--budgets", "8,60",
+                "--strategy", strategy, "--seed", "4"]
+        assert main(args + ["--perm", str(perm_path), "--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--perm", str(alone), "--out", str(tmp_path / "b")]) == 0
+        assert not alone.with_suffix(".llsm").exists()
+        for name in ("prediction_8.json", "report_60.json", "curve.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_paper_scale_truth_memory(self, tmp_path):
+        """``eval-model --truth`` at n = 1.7M peaks at about 14 B/sample: the
+        int64 order (8n) and, while the truth file is read, its bytes and
+        masks (about 6n).  Not the float64 totals sidecar (8n more), which
+        it never reads."""
+        import tracemalloc
+
+        from lleval import Permutation, save_permutation
+
+        n = 1_700_000
+        rng = np.random.default_rng(94)
+        perm_path, truth_path = tmp_path / "paper.llpm", tmp_path / "truth.txt"
+        save_permutation(Permutation(rng.permutation(n)), perm_path)
+        save_sums(np.zeros(n), perm_path.with_suffix(".llsm"))
+        truth_path.write_bytes(np.where(rng.random(n) < 0.5, b"1\n", b"0\n").tobytes())
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rc = main(["eval-model", "--perm", str(perm_path), "--truth", str(truth_path),
+                   "--out", str(tmp_path / "eval")])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rc == 0
+        assert len(list((tmp_path / "eval").glob("report_*.json"))) == 13
+        assert peak - before <= 16 * n + (4 << 20)
+
+    @pytest.mark.parametrize("command", ["eval-model", "simulate"])
+    @pytest.mark.parametrize("token", ["x", "8.5"])
+    def test_bad_budget_names_the_flag_and_token(self, small_setup, capsys, command, token):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        if command == "eval-model":
+            truth_path = tmp_path / "truth.csv"
+            write_vector(truth_path, dense[0])
+            argv = ["eval-model", "--perm", str(perm_path), "--truth", str(truth_path)]
+        else:
+            argv = ["simulate", "--models", "4", "--holdout", "1", "--samples", "60"]
+        out = tmp_path / "out"
+        assert main(argv + ["--budgets", f"8, {token} ,16", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --budgets has {token!r}, not a whole number\n"
+        )
+        assert not out.exists()
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -390,6 +450,23 @@ class TestUsageErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval-model", "insert-sample"])
+    def test_negative_seed_rejected_before_any_query(self, small_setup, capsys, command):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        asked = tmp_path / "asked"
+        touch = f"import pathlib; pathlib.Path('{asked}').touch(); print(1)"
+        if command == "eval-model":
+            argv = ["eval-model", "--perm", str(perm_path), "--budgets", "8",
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["insert-sample", "--cache", str(cache_path), "--budget", "4"]
+        argv += ["--oracle-cmd", f'{sys.executable} -c "{touch}"',
+                 "--strategy", "random", "--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --seed must be non-negative, not -1\n"
+        assert not asked.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["sort", "--help"]) == 0
@@ -723,7 +800,8 @@ class TestSimulate:
         assert len(rows) == len(budgets)
         for row, budget in zip(rows, budgets):
             seed = _derived_seed(6, 0, budget)
-            pred, _ = evaluate_from_truth(ranking, truth, budget, "random", seed)
+            pred, _ = evaluate(ranking.permutation, truth.__getitem__, budget,
+                               "random", seed)
             r = error_decomposition(truth, pred, ranking.permutation, budget)
             assert row.split(",") == [
                 str(budget), repr(r.mae), repr(r.agg_error), repr(r.aleatoric),

@@ -22,7 +22,7 @@ from lleval import (
     copy_nearest_expand_from_truth,
     dp_search,
     error_decomposition,
-    evaluate_from_truth,
+    evaluate,
     evaluate_new_model,
     load_cache,
     mae,
@@ -69,7 +69,8 @@ ENTRIES = {
     "from_rows": (N, lambda r: AccuracyCache.from_rows(N, [r])),
     "nearest_row": (COLS.size, lambda r: CACHE.nearest_row(COLS, r)),
     "dp_search": (None, dp_search),
-    "evaluate_from_truth": (N, lambda r: evaluate_from_truth(SORT, r, 4)),
+    # a row's __getitem__ as a batch oracle: its answers, not the row, are checked
+    "evaluate": (None, lambda r: evaluate(SORT.permutation, np.asarray(r).__getitem__, 4)),
     "SampleSelection": (POSITIONS.size, lambda r: SampleSelection(POSITIONS, r)),
     "prediction_from_dict": (
         POSITIONS.size,
@@ -137,8 +138,7 @@ EXPECTED = {
     "error_decomposition": {"mae": 0.5, "agg_error": 0.16666666666666666,
                             "aleatoric": 0.3333333333333333,
                             "epistemic": 0.16666666666666666, "budget": 4},
-    "evaluate_from_truth": (("threshold", 12, 3),
-                            ([2, 4, 7, 9], [True, False, False, False])),
+    "evaluate": (("threshold", 12, 3), ([2, 4, 7, 9], [True, False, False, False])),
     "from_rows": [[True, False, True, True, False, True, True, False, True, False, False,
                    True]],
     "mae": 0.5,

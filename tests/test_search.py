@@ -11,7 +11,7 @@ from lleval import (
     SampleSelection,
     SamplingStrategy,
     dp_search,
-    evaluate_from_truth,
+    evaluate,
     evaluate_new_model,
     extrapolate,
     prediction_from_dict,
@@ -306,7 +306,9 @@ class TestEvaluateNewModel:
                 slow = evaluate_new_model(
                     result, lambda j: bool(truth[j]), budget, strategy, seed=3
                 )
-                fast = evaluate_from_truth(result, truth, budget, strategy, seed=3)
+                fast = evaluate(
+                    result.permutation, truth.__getitem__, budget, strategy, seed=3
+                )
                 assert slow[0].k == fast[0].k
                 assert np.array_equal(slow[1].positions, fast[1].positions)
                 assert np.array_equal(slow[1].outcomes, fast[1].outcomes)
@@ -321,7 +323,7 @@ class TestEvaluateNewModel:
             truth = np.zeros(n, dtype=bool)
             truth[order[:k_true]] = True
             budget = int(rng.integers(1, n + 1))
-            pred, _ = evaluate_from_truth(result, truth, budget)
+            pred, _ = evaluate(result.permutation, truth.__getitem__, budget)
             assert abs(pred.k - k_true) <= n / budget + 1
 
     def test_random_strategy_requires_seed(self):
@@ -339,6 +341,27 @@ class TestEvaluateNewModel:
 
         with pytest.raises(RuntimeError, match="backend"):
             evaluate_new_model(result, broken, budget=2)
+
+    @pytest.mark.parametrize("strategy", list(SamplingStrategy))
+    def test_batch_oracle_asked_once_in_rank_order(self, strategy):
+        result = monotone_sort_result(30)
+        asked = []
+
+        def oracle(indices):
+            asked.append(indices.copy())
+            return np.ones(indices.size, dtype=np.uint8)
+
+        _, sel = evaluate(result.permutation, oracle, 7, strategy, seed=5)
+        (indices,) = asked
+        assert indices.dtype == result.permutation.order.dtype
+        assert np.array_equal(indices, result.permutation.order[sel.positions])
+        assert sel.outcomes.dtype == bool and sel.outcomes.all()
+
+    @pytest.mark.parametrize("count", [6, 8])
+    def test_batch_oracle_answers_one_per_index(self, count):
+        result = monotone_sort_result(30)
+        with pytest.raises(ValueError, match=f"^oracle answers length {count} does not"):
+            evaluate(result.permutation, lambda indices: [1] * count, 7)
 
 
 class TestSelectionsBuiltOnce:
@@ -361,7 +384,7 @@ class TestSelectionsBuiltOnce:
             )
             runs = (
                 evaluate_new_model(result, lambda j: bool(truth[j]), budget, strategy, 11),
-                evaluate_from_truth(result, truth, budget, strategy, 11),
+                evaluate(result.permutation, truth.__getitem__, budget, strategy, 11),
             )
             for pred, got in runs:
                 for name in ("positions", "outcomes"):
@@ -380,8 +403,8 @@ class TestSelectionsBuiltOnce:
         with pytest.raises(ValueError, match=f"^{message}$"):
             evaluate_new_model(result, lambda j: answer, 4)
         truth = np.full(20, answer)
-        with pytest.raises(ValueError, match="^truth entries must be 0 or 1$"):
-            evaluate_from_truth(result, truth, 4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate(result.permutation, truth.__getitem__, 4)
 
 
 class TestEvaluateNewSample:
