@@ -26,6 +26,7 @@ from .cache import (
 from .metrics import (
     ErrorReport,
     ExpDecayFit,
+    RankedTruth,
     adversarial_construction,
     agg_error,
     error_decomposition,
@@ -47,12 +48,10 @@ from .search import (
     uniform_positions,
 )
 from .sort import (
-    objective,
     sort_by_confidence_sum,
     sort_by_sum,
     sort_models_by_sum,
     stable_append,
-    threshold_all_rows,
 )
 from .synthgen import (
     SynthSpec,
@@ -69,6 +68,7 @@ __all__ = [
     "ExpDecayFit",
     "FormatError",
     "Permutation",
+    "RankedTruth",
     "SampleSelection",
     "SamplingStrategy",
     "SortMethod",
@@ -92,7 +92,6 @@ __all__ = [
     "load_permutation",
     "load_sums",
     "mae",
-    "objective",
     "prediction_from_dict",
     "prediction_to_dict",
     "random_positions",
@@ -105,7 +104,6 @@ __all__ = [
     "sort_by_sum",
     "sort_models_by_sum",
     "stable_append",
-    "threshold_all_rows",
     "uniform_positions",
     "write_error_curve",
 ]

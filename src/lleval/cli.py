@@ -41,7 +41,6 @@ from .metrics import (
     ErrorReport,
     ExpDecayFit,
     RankedTruth,
-    error_decomposition,
     fit_exp_decay,
     write_error_curve,
 )
@@ -190,9 +189,7 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
     record = prediction_to_dict(pred, sel)
     record["difficulty_rank"] = pred.k  # models expected to solve it
     if args.outcomes is not None:
-        report = error_decomposition(
-            outcomes, pred, model_sort.permutation, budget=budget
-        )
+        report = RankedTruth(outcomes, model_sort.permutation).report(pred.k, budget)
         record["report"] = report.to_dict()
     if args.report:
         _write_json(args.report, record)
@@ -235,8 +232,19 @@ def _windowed_map(pool: Executor, window: int, fn, items):
             future.cancel()
 
 
+# the simulate flags that set each SynthSpec field it can reject; --models
+# and --holdout are checked before the spec is built
+_SPEC_FLAGS = {
+    "num_samples": "--samples",
+    "ability_range": "--ability-lo/--ability-hi",
+    "temperature": "--tau",
+    "noise": "--noise",
+    "seed": "--seed",
+}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .synthgen import SynthSpec, generate
+    from .synthgen import SynthSpec, _SpecError, generate
 
     threads = _thread_count()
     if args.holdout < 1:
@@ -247,12 +255,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     lo = lo if args.ability_lo is None else args.ability_lo
     hi = hi if args.ability_hi is None else args.ability_hi
     options = {"temperature": args.tau, "noise": args.noise, "seed": args.seed}
-    spec = SynthSpec(
-        num_models=args.models + args.holdout,
-        num_samples=args.samples,
-        ability_range=(lo, hi),
-        **{name: value for name, value in options.items() if value is not None},
-    )
+    try:
+        spec = SynthSpec(
+            num_models=args.models + args.holdout,
+            num_samples=args.samples,
+            ability_range=(lo, hi),
+            **{name: value for name, value in options.items() if value is not None},
+        )
+    except _SpecError as exc:  # the spec knows the rule, the flag names it
+        raise ValueError(f"{_SPEC_FLAGS[exc.field]} {exc.rule}, not {exc.value}") from None
     budgets = _parse_budgets(args.budgets, spec.num_samples)
     strategy = SamplingStrategy(args.strategy)
     run_baseline = not args.skip_baseline
@@ -331,7 +342,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"permutation length {len(perm)}"
         )
     truth = _read_outcomes(args.truth, pred.length, "truth")
-    report = error_decomposition(truth, pred, perm, budget=selection.budget)
+    report = RankedTruth(truth, perm).report(pred.k, selection.budget)
     payload = report.to_dict()
     if args.out:
         _write_json(args.out, payload)

@@ -45,27 +45,24 @@ class ErrorReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "ErrorReport":
-        return cls(
-            mae=float(record["mae"]),
-            agg_error=float(record["agg_error"]),
-            aleatoric=float(record["aleatoric"]),
-            epistemic=float(record["epistemic"]),
-            budget=int(record["budget"]),
-        )
-
 
 class RankedTruth:
     """One outcome row in rank order, scored against step vectors [1]*k + [0]*rest.
 
-    Holds the ranked row as n/8 packed bytes (``cache.pack_outcomes``), built
-    once per (truth, permutation) and then scored at any number of cuts: a
+    The one mismatch scorer: every command builds one per truth row and
+    ranking, then calls ``report(k, budget)`` once per budget.  ``truth``
+    must be a 0/1 row as long as ``perm`` (``ValueError`` otherwise); it is
+    read once, so changing it later changes no score.  A cut k must lie in
+    [0, n].  ``best_k`` is the cut with the fewest mismatches, the smallest
+    on ties.
+
+    Holds the ranked row as n/8 packed bytes (``cache.pack_outcomes``): a
     mismatch count is a popcount of the first k bits, and the best cut is
     searched over the packed bytes only when a report first needs it.
     """
 
     def __init__(self, truth: np.ndarray, perm: Permutation) -> None:
+        truth = _outcomes(truth, len(perm), "truth")
         self.size = truth.size
         self.packed = pack_outcomes(truth[perm.order])
         self.ones = prefix_ones(self.packed, self.size)
@@ -80,17 +77,20 @@ class RankedTruth:
 
     def mismatches(self, k: int) -> int:
         """Zeros among the first k ranks plus ones among the rest."""
+        if not 0 <= k <= self.size:
+            raise ValueError(f"cut {k} outside [0, {self.size}]")
         before = prefix_ones(self.packed, k)
         return (k - before) + (self.ones - before)
 
     def report(self, k: int, budget: int) -> ErrorReport:
         """Error components of the cut k, see ``error_decomposition``."""
+        wrong = self.mismatches(k)
         n = self.size
         if n == 0:
             return ErrorReport(0.0, 0.0, 0.0, 0.0, budget)
         best = self.best_k
         return ErrorReport(
-            mae=self.mismatches(k) / n,
+            mae=wrong / n,
             agg_error=abs(k - self.ones) / n,
             aleatoric=self.mismatches(best) / n,
             epistemic=abs(best - k) / n,
@@ -175,7 +175,8 @@ def error_decomposition(
     The floor (aleatoric) is the best any threshold could do on the ranked
     truth; the gap (epistemic) is how far the budgeted cut k landed from
     that optimum, |k* - k| / n.  Calls for one row under one Permutation,
-    one per budget, gather and rank the row once (``_ranked_truth``).
+    one per budget, gather and rank the row once (``_ranked_truth``); a
+    caller that holds the row scores it with one ``RankedTruth`` instead.
     """
     truth = _outcomes(truth, pred.length, "truth")
     if len(perm) != truth.size:

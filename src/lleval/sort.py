@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cache import AccuracyCache, Permutation, SortMethod, SortResult, ThresholdVector
-from .metrics import RankedTruth
 
 
 # values turned into sort words, or read back from them, at once: bounds that scratch
@@ -86,40 +85,6 @@ def sort_models_by_sum(cache: AccuracyCache) -> SortResult:
 def sort_by_confidence_sum(cache: AccuracyCache) -> SortResult:
     """Same ranking computed on the confidence matrix's column sums."""
     return _ranked(cache.confidence_sums(), SortMethod.CONFIDENCE_SUM)
-
-
-def threshold_all_rows(
-    cache: AccuracyCache, perm: Permutation
-) -> list[ThresholdVector]:
-    """Optimal cut of every row under the given column order."""
-    if len(perm) != cache.num_samples:
-        raise ValueError("permutation length does not match cache columns")
-    n = cache.num_samples
-    return [
-        ThresholdVector(n, RankedTruth(cache.row(i), perm).best_k)
-        for i in range(cache.num_models)
-    ]
-
-
-def objective(
-    cache: AccuracyCache,
-    perm: Permutation,
-    thresholds: list[ThresholdVector],
-) -> float:
-    """Normalized L1 distance between the permuted cache and its step matrix."""
-    m, n = cache.num_models, cache.num_samples
-    if len(perm) != n:
-        raise ValueError("permutation length does not match cache columns")
-    if len(thresholds) != m:
-        raise ValueError("one threshold per row required")
-    if m * n == 0:
-        return 0.0
-    total = 0
-    for i, tv in enumerate(thresholds):
-        if tv.length != n:
-            raise ValueError("threshold length does not match cache columns")
-        total += RankedTruth(cache.row(i), perm).mismatches(tv.k)
-    return total / (m * n)
 
 
 def stable_append(sort: SortResult, predicted: ThresholdVector) -> SortResult:

@@ -22,6 +22,14 @@ _HOLDOUT_STREAM = 2
 _ABILITY_STREAM = 3
 
 
+class _SpecError(ValueError):
+    """A ``SynthSpec`` field that breaks its rule; ``field`` names it."""
+
+    def __init__(self, field: str, value, rule: str) -> None:
+        super().__init__(f"{field} {rule}, not {value}")
+        self.field, self.value, self.rule = field, value, rule
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of one synthetic benchmark draw."""
@@ -34,17 +42,18 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_models < 0 or self.num_samples < 0:
-            raise ValueError("counts must be non-negative")
+        for count in ("num_models", "num_samples"):
+            if getattr(self, count) < 0:
+                raise _SpecError(count, getattr(self, count), "must be non-negative")
         lo, hi = self.ability_range
         if not lo <= hi:
-            raise ValueError("ability_range must be ordered")
+            raise _SpecError("ability_range", self.ability_range, "must be ordered")
         if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+            raise _SpecError("temperature", self.temperature, "must be positive")
         if not 0.0 <= self.noise <= 0.5:
-            raise ValueError("noise must lie in [0, 0.5]")
+            raise _SpecError("noise", self.noise, "must lie in [0, 0.5]")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise _SpecError("seed", self.seed, "must be non-negative")
         object.__setattr__(self, "ability_range", (float(lo), float(hi)))
 
     def to_dict(self) -> dict:

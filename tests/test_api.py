@@ -1,12 +1,18 @@
-"""The README's Library table lists the whole public API, and nothing else."""
+"""The README's Library table lists the whole public API, and nothing else;
+the package's modules import only what they use, and the ranking and search
+layers depend on the cache alone."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import lleval
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(lleval.__file__).resolve().parent
 
 
 def _listed():
@@ -26,3 +32,35 @@ def test_each_listed_name_is_defined_by_its_module():
     for name, module in _listed():
         found = getattr(importlib.import_module(module), name)
         assert found is getattr(lleval, name) and found.__module__ == module, name
+
+
+def _imports(tree):
+    """(node, bound name) of every import in a module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node, alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":  # its imports are the re-exports
+        used |= set(lleval.__all__)
+    unused = sorted({name for _, name in _imports(tree)} - used)
+    assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("name", ["sort.py", "search.py"])
+def test_ranking_and_search_import_only_the_cache(name):
+    tree = ast.parse((PACKAGE / name).read_text())
+    for node, bound in _imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module == "cache", f"{name} imports {bound} from .{node.module}"
+        else:
+            module = node.module if isinstance(node, ast.ImportFrom) else bound
+            assert module.split(".")[0] != "lleval", f"{name} imports {module}"

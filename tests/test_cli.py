@@ -468,6 +468,26 @@ class TestUsageErrors:
         assert not asked.exists()
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--seed", "-1"], "--seed must be non-negative, not -1"),
+            (["--tau", "0"], "--tau must be positive, not 0.0"),
+            (["--noise", "0.7"], "--noise must lie in [0, 0.5], not 0.7"),
+            (["--ability-lo", "2", "--ability-hi", "1"],
+             "--ability-lo/--ability-hi must be ordered, not (2.0, 1.0)"),
+            (["--samples", "-1"], "--samples must be non-negative, not -1"),
+        ],
+        ids=["seed", "tau", "noise", "ability", "samples"],
+    )
+    def test_simulate_names_the_rejected_flag(self, tmp_path, capsys, flags, err):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--models", "3", "--holdout", "1", "--samples", "50",
+                "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["sort", "--help"]) == 0
         assert "--method" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from _oracles import best_threshold_error, hamming_fraction, threshold_error
 from lleval import (
     ErrorReport,
     Permutation,
+    RankedTruth,
     ThresholdVector,
     adversarial_construction,
     agg_error,
@@ -151,7 +152,10 @@ class TestErrorDecomposition:
 
     def test_report_serialization(self):
         report = ErrorReport(0.1, 0.05, 0.08, 0.02, 64)
-        assert ErrorReport.from_dict(report.to_dict()) == report
+        assert report.to_dict() == {
+            "mae": 0.1, "agg_error": 0.05, "aleatoric": 0.08, "epistemic": 0.02,
+            "budget": 64,
+        }
 
     def test_report_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -177,11 +181,47 @@ def fresh_report(truth, order, k, budget=0):
 
 
 def check_both(truth, perm, k, budget=0):
-    """error_decomposition and mae of one cut, each against fresh_report."""
+    """error_decomposition, mae and a RankedTruth of one cut, each against
+    fresh_report."""
     want = fresh_report(truth, perm.order, k, budget)
     pred = ThresholdVector(len(perm), k)
     assert error_decomposition(truth, pred, perm, budget) == want
     assert mae(truth, pred, perm) == want.mae
+    assert RankedTruth(truth, perm).report(k, budget) == want
+
+
+class TestRankedTruth:
+    """The public scorer's contract beyond the reports check_both compares."""
+
+    def test_best_cut_and_mismatches_of_permuted_rows(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n = int(rng.integers(0, 40))
+            truth = rng.random(n) < rng.random()
+            perm = Permutation(rng.permutation(n))
+            scorer = RankedTruth(truth, perm)
+            ranked = truth[perm.order]
+            truth[:] = ~truth  # the row is read once, at construction
+            assert threshold_error(ranked, scorer.best_k) == best_threshold_error(ranked)
+            for k in range(n + 1):
+                assert scorer.mismatches(k) == threshold_error(ranked, k)
+
+    @pytest.mark.parametrize(
+        "truth",
+        [np.ones((10, 2), dtype=bool), np.ones(11, dtype=bool)],
+        ids=["2-D", "wrong-length"],
+    )
+    def test_rejects_a_row_unlike_the_permutation(self, truth):
+        with pytest.raises(ValueError, match="truth"):
+            RankedTruth(truth, identity_perm(10))
+
+    @pytest.mark.parametrize("k", [-1, 11])
+    def test_rejects_a_cut_outside_0_to_n(self, k):
+        scorer = RankedTruth(np.ones(10, dtype=bool), identity_perm(10))
+        with pytest.raises(ValueError, match=r"outside \[0, 10\]"):
+            scorer.report(k, 4)
+        with pytest.raises(ValueError, match=r"outside \[0, 10\]"):
+            scorer.mismatches(k)
 
 
 class TestRankedTruthReuse:

@@ -1,9 +1,8 @@
-"""Ranking variants, per-row thresholds, the L1 objective, and append stability."""
+"""Ranking variants and append stability."""
 
 import numpy as np
 import pytest
 
-from _oracles import best_threshold_error, threshold_error
 from lleval import (
     AccuracyCache,
     FormatError,
@@ -12,14 +11,12 @@ from lleval import (
     ThresholdVector,
     load_permutation,
     load_sums,
-    objective,
     save_permutation,
     save_sums,
     sort_by_confidence_sum,
     sort_by_sum,
     sort_models_by_sum,
     stable_append,
-    threshold_all_rows,
 )
 from lleval.cache import _CHUNK_BYTES, _TILE_BYTES
 from lleval.sort import _sort_descending
@@ -149,78 +146,6 @@ class TestSortByConfidenceSum:
         cache = AccuracyCache.from_dense(np.ones((2, 2), dtype=bool))
         with pytest.raises(ValueError, match="confidence"):
             sort_by_confidence_sum(cache)
-
-
-class TestThresholdAllRows:
-    def test_identity_matrix_matches_brute_force(self):
-        cache = AccuracyCache.from_dense(np.eye(6, dtype=bool))
-        perm = Permutation(np.arange(6))
-        for i, tv in enumerate(threshold_all_rows(cache, perm)):
-            row = cache.row(i)
-            assert threshold_error(row, tv.k) == best_threshold_error(row)
-
-    def test_all_ones_threshold_is_n(self):
-        cache = AccuracyCache.from_dense(np.ones((3, 5), dtype=bool))
-        perm = Permutation(np.arange(5))
-        assert [tv.k for tv in threshold_all_rows(cache, perm)] == [5, 5, 5]
-
-    def test_all_zeros_threshold_is_zero(self):
-        cache = AccuracyCache.from_dense(np.zeros((3, 5), dtype=bool))
-        perm = Permutation(np.arange(5))
-        assert [tv.k for tv in threshold_all_rows(cache, perm)] == [0, 0, 0]
-
-    def test_respects_permutation(self):
-        rng = np.random.default_rng(30)
-        for _ in range(25):
-            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 12))
-            cache = AccuracyCache.from_dense(rng.random((m, n)) < 0.5)
-            perm = Permutation(rng.permutation(n))
-            for i, tv in enumerate(threshold_all_rows(cache, perm)):
-                permuted = cache.row(i)[perm.order]
-                assert threshold_error(permuted, tv.k) == best_threshold_error(
-                    permuted
-                )
-
-
-class TestObjective:
-    def test_monotone_cache_is_zero(self):
-        dense = np.array([[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
-        cache = AccuracyCache.from_dense(dense)
-        perm = Permutation(np.arange(4))
-        thresholds = threshold_all_rows(cache, perm)
-        assert objective(cache, perm, thresholds) == 0.0
-
-    def test_single_row_hand_counts(self):
-        cache = AccuracyCache.from_dense(np.array([[1, 0, 1]], dtype=bool))
-        perm = Permutation(np.arange(3))
-        # step [1,1,0] disagrees with [1,0,1] at two positions
-        assert objective(cache, perm, [ThresholdVector(3, 2)]) == pytest.approx(2 / 3)
-        # the optimal cuts leave a single mismatch
-        assert objective(cache, perm, [ThresholdVector(3, 1)]) == pytest.approx(1 / 3)
-        assert objective(cache, perm, [ThresholdVector(3, 3)]) == pytest.approx(1 / 3)
-
-    def test_empty_cache_is_zero(self):
-        cache = AccuracyCache.from_dense(np.zeros((0, 0), dtype=bool))
-        assert objective(cache, Permutation(np.array([], dtype=int)), []) == 0.0
-
-    def test_random_thresholds_match_brute_force(self):
-        rng = np.random.default_rng(75)
-        for _ in range(30):
-            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
-            dense = rng.random((m, n)) < rng.random()
-            cache = AccuracyCache.from_dense(dense)
-            perm = Permutation(rng.permutation(n))
-            ks = rng.integers(0, n + 1, size=m)
-            step = np.arange(n) < ks[:, None]
-            expected = np.count_nonzero(dense[:, perm.order] != step) / (m * n)
-            thresholds = [ThresholdVector(n, int(k)) for k in ks]
-            assert objective(cache, perm, thresholds) == expected
-
-    def test_shape_mismatch(self):
-        cache = AccuracyCache.from_dense(np.ones((2, 3), dtype=bool))
-        perm = Permutation(np.arange(3))
-        with pytest.raises(ValueError):
-            objective(cache, perm, [ThresholdVector(3, 1)])
 
 
 class TestStableAppend:
