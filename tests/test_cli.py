@@ -3,13 +3,12 @@
 import hashlib
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _child import PEAK, run_child
 from _oracles import append_column
 from lleval import (
     AccuracyCache,
@@ -77,29 +76,6 @@ class TestImport:
         )
         assert rc != 0
         assert "error:" in capsys.readouterr().err
-
-
-def _run_child(child, tmp_path):
-    """The numbers the Python source ``child`` prints last, run with
-    ``tmp_path`` as its argument.  Linux carries a peak RSS across fork and
-    exec, so the child is started by a bare interpreter, not by this
-    process."""
-    src = str(Path(lleval.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
-    argv = [sys.executable, "-c", launch, sys.executable, "-c", child, str(tmp_path)]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return map(int, proc.stdout.splitlines()[-1].split())
-
-
-# a child's own peak RSS: ``RUSAGE_CHILDREN`` would keep earlier children's
-_PEAK = (
-    "import resource, sys\n"
-    "def peak():\n"
-    "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
-)
 
 
 class TestSort:
@@ -191,7 +167,7 @@ class TestSort:
         write_vector(tmp_path / "col.csv", rng.random(m) < 0.5)
         size = (tmp_path / "big.llbc").stat().st_size
         assert size >= 64 << 20
-        child = _PEAK + (
+        child = PEAK + (
             "from lleval import load_cache\n"
             "from lleval.cli import main\n"
             "cache, out = sys.argv[1] + '/big.llbc', sys.argv[1] + '/big.llpm'\n"
@@ -206,7 +182,7 @@ class TestSort:
             "                 '--append-out', sys.argv[1] + '/grown.llbc']))\n"
             "print(*rcs, *peaks, peak())\n"
         )
-        *rcs, imported, loaded, ranked, inserted = _run_child(child, tmp_path)
+        *rcs, imported, loaded, ranked, inserted = run_child(child, tmp_path)
         assert rcs == [0, 0]
         assert loaded - imported < size // 2
         assert ranked < imported + size
@@ -223,14 +199,14 @@ class TestSort:
         want = conf.sum(axis=0, dtype=np.float64)
         del conf
         size = (tmp_path / "conf.llbc").stat().st_size
-        child = _PEAK + (
+        child = PEAK + (
             "from lleval.cli import main\n"
             "imported = peak()\n"
             "rc = main(['sort', '--method', 'conf', '--cache', sys.argv[1] + '/conf.llbc',\n"
             "           '--out', sys.argv[1] + '/conf.llpm'])\n"
             "print(rc, imported, peak())\n"
         )
-        rc, imported, ranked = _run_child(child, tmp_path)
+        rc, imported, ranked = run_child(child, tmp_path)
         assert rc == 0
         assert ranked - imported < size // 2
         from lleval import load_permutation, load_sums
