@@ -12,6 +12,7 @@ takes 22 s on a 2-core host, 10 s of it at paper width.
 
 from __future__ import annotations
 
+import filecmp
 import hashlib
 import json
 import shlex
@@ -179,27 +180,47 @@ def test_paper_width_simulate(tmp_path, monkeypatch):
     assert np.all(mae < baseline), "S&S MAE not below the baseline at every budget"
 
 
-def test_paper_width_sort(tmp_path):
+@pytest.fixture(scope="module")
+def paper_cache(tmp_path_factory) -> Path:
+    """A random 500 x 1,700,000 LLBC file of 106 MB, written once."""
+    m, n = 500, 1_700_000
+    bits = np.random.default_rng(7).integers(0, 256, size=(m, n // 8), dtype=np.uint8)
+    path = tmp_path_factory.mktemp("paper") / "rank.llbc"
+    save_cache(AccuracyCache(m, n, bits), path)
+    return path
+
+
+def test_paper_width_sort(paper_cache, tmp_path):
     """The abstract's "memory cost of <100MB": `sort` reads the mapped
     106 MB cache a band of rows at a time and releases each band, and its
     files equal the bit-plane reference.  At this width the column sums read
     32-row bands, 31 whole 16-row groups and 4 rows over.  It peaks at
     45 MB; the RSS bound fails a cache mapped whole (146 MB)."""
-    m, n = 500, 1_700_000
-    bits = np.random.default_rng(7).integers(0, 256, size=(m, n // 8), dtype=np.uint8)
-    save_cache(AccuracyCache(m, n, bits), tmp_path / "rank.llbc")
-    del bits
     child = PEAK + (
         "from lleval.cli import main\n"
-        "base = sys.argv[1] + '/rank'\n"
-        "print(main(['sort', '--cache', base + '.llbc', '--out', base + '.llpm']), peak())\n"
+        f"argv = ['sort', '--cache', {str(paper_cache)!r}, '--out', sys.argv[1] + '/rank.llpm']\n"
+        "print(main(argv), peak())\n"
     )
     rc, peak = run_child(child, tmp_path)
     assert rc == 0
     assert peak / MiB <= 100, f"sort peak RSS {peak / MiB:.0f} MB above 100 MB"
-    (_, _, m, n, _), bits = _read_llbc(tmp_path / "rank.llbc")
+    (_, _, m, n, _), bits = _read_llbc(paper_cache)
     assert (m, n) == (500, 1_700_000)
     _assert_ranked(tmp_path / "rank", column_sums_ref(bits, n))
+
+
+def test_paper_width_save_cache(paper_cache, tmp_path):
+    """`save_cache` writes the mapped 106 MB cache a band of rows at a time
+    and releases each band, and the copy's bytes equal the input's.  It
+    peaks at 40 MB; the RSS bound fails a cache read whole (132 MB)."""
+    child = PEAK + (
+        "from lleval import load_cache, save_cache\n"
+        f"save_cache(load_cache({str(paper_cache)!r}), sys.argv[1] + '/copy.llbc')\n"
+        "print(peak())\n"
+    )
+    (peak,) = run_child(child, tmp_path)
+    assert peak / MiB <= 60, f"save_cache peak RSS {peak / MiB:.0f} MB above 60 MB"
+    assert filecmp.cmp(paper_cache, tmp_path / "copy.llbc", shallow=False)
 
 
 # -- sort, insert-sample and eval-model against numpy -------------------------------

@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,13 +44,13 @@ _INT32_MAX = np.iinfo(np.int32).max
 # threads sharing one cache build it once, not once each
 _BYTE_COLUMNS_LOCK = threading.Lock()
 
-# bytes of a mapped chunk of rows copied to scratch at once: popcounted by
+# bytes of a band of rows copied to scratch at once: popcounted by
 # ``row_sums``, or grown by ``save_appended_cache``
 _CHUNK_BYTES = 1 << 20
 # packed bytes per ``column_sums`` tile: its bit planes and carries stay in L2
 _TILE_BYTES = 1 << 16
-# packed bytes of rows that ``column_sums`` and the padding check read from
-# a mapped cache before ``_release``: 32 rows of 1.7M samples
+# bytes of a band of rows that every other pass reads in place (``_bands``):
+# 32 rows of 1.7M samples
 _BAND_BYTES = 1 << 23
 # plane bytes ``column_sums`` unpacks at once, and the widest rows it lays
 # side by side: 120 KiB unpacked stays under glibc's default 128 KiB mmap
@@ -209,12 +209,6 @@ def _add_16(planes: np.ndarray, rows: np.ndarray, scratch: np.ndarray) -> None:
     _ripple(planes[4:], a, scratch[1:3])
 
 
-def _band_rows(row_bytes: int) -> int:
-    """Rows in a band: the largest power of two within ``_BAND_BYTES``, or
-    1.  ``column_sums`` reads at least 16, whole groups for ``_add_16``."""
-    return 1 << max(0, (_BAND_BYTES // max(1, row_bytes)).bit_length() - 1)
-
-
 def _release(rows: np.ndarray) -> None:
     """Drop the pages of contiguous ``rows``, if they are a view of a
     read-only ``mmap``, from this process's resident set once read.  The
@@ -234,6 +228,24 @@ def _release(rows: np.ndarray) -> None:
     start = rows.ctypes.data - whole.ctypes.data
     first = start - start % mmap.PAGESIZE
     base.madvise(mmap.MADV_DONTNEED, first, start + rows.nbytes - first)
+
+
+def _bands(
+    rows: np.ndarray, nbytes: int, least: int = 1
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first row, band) for each band of the 2-D ``rows``: the largest
+    power of two of rows within ``nbytes``, or 1, but at least ``least``.
+    Each band is released (``_release``) once the caller moves on, also
+    when it stops early, so a mapped cache is never resident whole.  Every
+    pass that reads a cache's rows walks them here."""
+    row_bytes = max(1, rows.itemsize * rows.shape[1])
+    step = max(least, 1 << max(0, (nbytes // row_bytes).bit_length() - 1))
+    for lo in range(0, len(rows), step):
+        band = rows[lo : lo + step]
+        try:
+            yield lo, band
+        finally:
+            _release(band)
 
 
 def _check_unit_range(conf: np.ndarray) -> None:
@@ -288,11 +300,9 @@ class AccuracyCache:
             )
         mask = _pad_mask(n)
         if mask:  # a band at a time: a byte per row can map every page of a file
-            step = _band_rows(bits.shape[1])
-            for lo in range(0, m, step):
-                if np.any(bits[lo : lo + step, -1] & mask):
+            for _, band in _bands(bits, _BAND_BYTES):
+                if np.any(band[:, -1] & mask):
                     raise ValueError("nonzero padding bits past the last column")
-                _release(bits[lo : lo + step])
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
         if self.confidence is not None:
@@ -303,10 +313,8 @@ class AccuracyCache:
                 raise ValueError(
                     f"confidence shape {conf.shape} does not match {m}x{n} cache"
                 )
-            step = _band_rows(conf.itemsize * n)  # a band at a time, as above
-            for lo in range(0, m, step):
-                _check_unit_range(conf[lo : lo + step])
-                _release(conf[lo : lo + step])
+            for _, band in _bands(conf, _BAND_BYTES):  # as above
+                _check_unit_range(band)
             conf.flags.writeable = False
             object.__setattr__(self, "confidence", conf)
 
@@ -355,13 +363,17 @@ class AccuracyCache:
             other.num_samples,
         ):
             return False
-        if not np.array_equal(self.bits, other.bits):
-            return False
         if (self.confidence is None) != (other.confidence is None):
             return False
-        return self.confidence is None or np.array_equal(
-            self.confidence, other.confidence
-        )
+        pairs = [(self.bits, other.bits)]
+        if self.confidence is not None:
+            pairs.append((self.confidence, other.confidence))
+        for mine, theirs in pairs:
+            # equal shapes, so equal bands, read side by side
+            bands = zip(_bands(mine, _BAND_BYTES), _bands(theirs, _BAND_BYTES))
+            if not all(np.array_equal(a, b) for (_, a), (_, b) in bands):
+                return False
+        return True
 
     # -- access ------------------------------------------------------------
 
@@ -433,13 +445,13 @@ class AccuracyCache:
         bytes, never unpacked, 16 at a time by one Harley-Seal step
         (``_add_16``); the rows past the last whole 16 are rippled in one
         at a time (``_ripple``).  Rows are read in bands of at least 16
-        (``_band_rows``), and a band is added one ``_TILE_BYTES`` tile of
+        (``_bands``), and a band is added one ``_TILE_BYTES`` tile of
         columns at a time, so that tile's planes and five scratch rows stay
-        in L2 while the band's rows pass; a mapped band is then released
-        (``_release``).  Each plane is unpacked once, ``_SLICE_BYTES`` at a
-        time.  Rows shorter than ``_SLICE_BYTES`` are first laid k side by
-        side (k the largest divisor of m that fits), so each bitwise pass
-        covers more bytes; the k partial counts are summed when unpacked.
+        in L2 while the band's rows pass.  Each plane is unpacked once,
+        ``_SLICE_BYTES`` at a time.  Rows shorter than ``_SLICE_BYTES`` are
+        first laid k side by side (k the largest divisor of m that fits), so
+        each bitwise pass covers more bytes; the k partial counts are summed
+        when unpacked.
         The length-n result is the only large array.
         """
         m, n = self.num_models, self.num_samples
@@ -457,9 +469,7 @@ class AccuracyCache:
         fold_dtype = np.min_scalar_type(m)
         planes = np.zeros((depth, width), np.uint8)
         scratch = np.empty((5, min(width, _TILE_BYTES)), np.uint8)
-        step = max(16, _band_rows(width))
-        for first in range(0, len(rows), step):
-            band = rows[first : first + step]
+        for _, band in _bands(rows, _BAND_BYTES, least=16):
             whole = len(band) - len(band) % 16
             for lo in range(0, width, _TILE_BYTES):
                 cols = slice(lo, lo + _TILE_BYTES)
@@ -469,7 +479,6 @@ class AccuracyCache:
                     _add_16(tile_planes, tile[g : g + 16], bufs)
                 for row in tile[whole:]:
                     _ripple(tile_planes, row, bufs[:2])
-            _release(band)
         for s in range(0, width, _SLICE_BYTES):
             block = planes[:, s : s + _SLICE_BYTES].reshape(depth, k, -1)
             c0 = 8 * s
@@ -498,42 +507,38 @@ class AccuracyCache:
 
         Each row is added into the totals in turn, the order of one
         ``sum(axis=0)`` over the matrix, so the totals are its bits.  Rows
-        are read a band at a time (``_band_rows``) and a mapped band is
-        released (``_release``) once added: the block is never resident
+        are read a band at a time (``_bands``): the block is never resident
         whole.
         """
         conf = self.confidence
         if conf is None:
             raise ValueError("cache has no confidence matrix")
         sums = np.zeros(self.num_samples, dtype=np.float64)
-        step = _band_rows(conf.itemsize * self.num_samples)
-        for lo in range(0, self.num_models, step):
-            band = conf[lo : lo + step]
+        for _, band in _bands(conf, _BAND_BYTES):
             for row in band:
                 sums += row
-            _release(band)
         return sums
 
     def row_sums(self) -> np.ndarray:
         """Per-row popcounts (int64).
 
-        Each chunk of rows is copied into one reused scratch of whole
-        uint64 words, zero past each row's bytes, and popcounted a word at
-        a time: no m x n matrix is ever built, and a mapped chunk is
-        released (``_release``) once copied.
+        Each band of rows (``_bands``) is copied into one reused scratch of
+        at most ``_CHUNK_BYTES`` of whole uint64 words, zero past each row's
+        bytes, and popcounted a word at a time: no m x n matrix is ever
+        built.
         """
         m, rb = self.bits.shape
         words = -(-rb // 8)
-        step = max(1, _CHUNK_BYTES // max(1, 8 * words))
-        scratch = np.zeros((min(m, step), words), dtype=np.uint64)
-        row_bytes = scratch.view(np.uint8)[:, :rb]
+        scratch = np.zeros((0, words), dtype=np.uint64)
         # an int32 sum is about twice as fast as numpy's default uint64 one
         dtype = np.int32 if self.num_samples <= _INT32_MAX else np.int64
         sums = np.empty(m, dtype=np.int64)
-        for lo in range(0, m, step):
-            k = min(step, m - lo)
-            row_bytes[:k] = self.bits[lo : lo + k]
-            _release(self.bits[lo : lo + k])
+        # bands of rb-byte rows whose 8 * words-byte copies fit in _CHUNK_BYTES
+        for lo, band in _bands(self.bits, _CHUNK_BYTES * rb // max(1, 8 * words)):
+            k = len(band)
+            if len(scratch) < k:  # the first band, the largest
+                scratch = np.zeros((k, words), dtype=np.uint64)
+            scratch.view(np.uint8)[:k, :rb] = band
             sums[lo : lo + k] = np.bitwise_count(scratch[:k]).sum(axis=1, dtype=dtype)
         return sums
 
@@ -712,18 +717,22 @@ def _read_outcomes(path: str | Path, length: int, name: str) -> np.ndarray:
     """``length`` 0/1 tokens separated by commas and/or whitespace.
 
     Lone ``0``/``1`` bytes between ASCII separators are read as bytes, a
-    chunk at a time (``take`` builds no full-length index); any other file,
-    and so every error, goes through ``_read_tokens``.
+    chunk at a time, and each chunk's digits are compared straight into one
+    row of (size + 1) // 2 outcomes, as no two digits touch; any other
+    file, and so every error, goes through ``_read_tokens``.
     """
     data = np.frombuffer(Path(path).read_bytes(), np.uint8)
-    digit = np.empty(data.size, bool)
+    row = np.empty((data.size + 1) // 2, bool)
+    count = 0
     for lo in range(0, data.size, _WRITE_CHUNK):
         # one byte past the chunk, to see a token run across its edge
         kind = _OUTCOME_BYTE.take(data[lo : lo + _WRITE_CHUNK + 1])
         if kind.max() > 1 or (kind[1:] & kind[:-1]).any():
             return _read_tokens(path, length, name)
-        digit[lo : lo + _WRITE_CHUNK] = kind[:_WRITE_CHUNK]
-    return _outcomes(data[digit] == ord("1"), length, name)
+        digits = data[lo : lo + _WRITE_CHUNK][kind[:_WRITE_CHUNK].view(bool)]
+        np.equal(digits, ord("1"), out=row[count : count + digits.size])
+        count += digits.size
+    return _outcomes(row[:count], length, name)
 
 
 def _read_tokens(path: str | Path, length: int, name: str) -> np.ndarray:
@@ -775,9 +784,13 @@ def _write_cache(
 
 
 def save_cache(cache: AccuracyCache, path: str | Path) -> None:
-    """Write the cache in the LLBC binary format (little-endian)."""
-    conf = [] if cache.confidence is None else [(cache.confidence, "<f4")]
-    _write_cache(path, cache, cache.num_samples, (cache.bits, "u1"), *conf)
+    """Write the cache in the LLBC binary format (little-endian), a band of
+    rows at a time (``_bands``)."""
+    arrays = [(cache.bits, "u1")]
+    if cache.confidence is not None:
+        arrays.append((cache.confidence, "<f4"))
+    blocks = [((band for _, band in _bands(a, _BAND_BYTES)), t) for a, t in arrays]
+    _write_cache(path, cache, cache.num_samples, *blocks)
 
 
 def _grown_chunks(
@@ -785,13 +798,14 @@ def _grown_chunks(
 ) -> Iterable[np.ndarray]:
     """The rows of ``block`` grown by ``col`` to ``width`` items, as one
     reused buffer of at most ``_CHUNK_BYTES``, or one row, refilled by
-    ``grow`` for each chunk of rows; a mapped chunk is released once read."""
-    step = max(1, _CHUNK_BYTES // max(1, width * block.itemsize))
-    buf = np.empty((min(step, len(block)), width), dtype=block.dtype)
-    for lo in range(0, len(block), step):
-        out = buf[: min(step, len(block) - lo)]
-        grow(out, block[lo : lo + step], col[lo : lo + step], n)
-        _release(block[lo : lo + step])
+    ``grow`` for each band of rows (``_bands``)."""
+    buf = np.empty((0, width), dtype=block.dtype)
+    # bands of rows whose copies, grown to ``width`` items, fit in _CHUNK_BYTES
+    for lo, rows in _bands(block, _CHUNK_BYTES * block.shape[1] // width):
+        if len(buf) < len(rows):  # the first band, the largest
+            buf = np.empty((len(rows), width), dtype=block.dtype)
+        out = buf[: len(rows)]
+        grow(out, rows, col[lo : lo + len(rows)], n)
         yield out
 
 
@@ -834,17 +848,16 @@ def load_cache(path: str | Path) -> AccuracyCache:
     The bits and confidences are read-only views of one ``mmap`` of the
     file, which their base chain keeps alive, so ``_release`` can find it.
     """
-    size = os.path.getsize(path)
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh:  # the size, header and map of one file
         head = fh.read(_HEADER.size)
-    m, n, flags = _unpack_header(head, _CACHE_MAGIC, _HEADER, _CACHE_VERSION)
-    if flags & ~_FLAG_CONFIDENCE:
-        raise FormatError(f"unsupported flags {flags:#x}")
-    _check_size(size, _cache_size(m, n, flags), "cache payload")
+        m, n, flags = _unpack_header(head, _CACHE_MAGIC, _HEADER, _CACHE_VERSION)
+        if flags & ~_FLAG_CONFIDENCE:
+            raise FormatError(f"unsupported flags {flags:#x}")
+        size = os.fstat(fh.fileno()).st_size
+        _check_size(size, _cache_size(m, n, flags), "cache payload")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     rb = _row_bytes(n)
     bits_len = m * rb
-    with open(path, "rb") as fh:
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     try:
         bits = np.frombuffer(mapped, "u1", bits_len, _HEADER.size).reshape(m, rb)
         confidence = None

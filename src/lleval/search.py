@@ -50,35 +50,13 @@ class SampleSelection:
         if positions.size:
             if int(positions.min()) < 0:
                 raise ValueError("positions must be non-negative")
-            if np.any(np.diff(positions) <= 0):
+            if (positions[1:] <= positions[:-1]).any():
                 raise ValueError("positions must be strictly increasing")
         positions.flags.writeable = False
         outcomes.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "strategy", SamplingStrategy(self.strategy))
-
-    @classmethod
-    def _built(
-        cls,
-        positions: np.ndarray,
-        outcomes: np.ndarray,
-        strategy: SamplingStrategy,
-        seed: int | None,
-    ) -> SampleSelection:
-        """A selection of the 1-D int64 ``positions`` that this module has just
-        built, strictly increasing and non-negative by construction, and of
-        their checked bool ``outcomes``: frozen without the constructor's
-        checks.  Every other selection, a loaded one included, goes through
-        ``SampleSelection(...)``."""
-        selection = object.__new__(cls)
-        for name, array in (("positions", positions), ("outcomes", outcomes)):
-            array = array.view()
-            array.flags.writeable = False
-            object.__setattr__(selection, name, array)
-        object.__setattr__(selection, "strategy", strategy)
-        object.__setattr__(selection, "seed", seed)
-        return selection
 
     @property
     def budget(self) -> int:
@@ -162,7 +140,7 @@ def evaluate(
     strategy = SamplingStrategy(strategy)
     positions = _pick_positions(total, budget, strategy, seed)
     outcomes = _outcomes(oracle(order[positions]), positions.size, "oracle answers")
-    selection = SampleSelection._built(
+    selection = SampleSelection(
         positions,
         outcomes,
         strategy,

@@ -1,6 +1,6 @@
 """The README's Library table lists the whole public API, and nothing else;
-the package's modules import only what they use, and the ranking and search
-layers depend on the cache alone."""
+the package's modules import only what they use, the ranking and search
+layers depend on the cache alone, and one walker reads a cache's bands."""
 
 import ast
 import importlib
@@ -64,3 +64,25 @@ def test_ranking_and_search_import_only_the_cache(name):
         else:
             module = node.module if isinstance(node, ast.ImportFrom) else bound
             assert module.split(".")[0] != "lleval", f"{name} imports {module}"
+
+
+def test_only_the_band_walker_releases():
+    """Every pass over a cache's rows walks them with ``cache._bands``, the
+    one place that names ``_release``; no pass sizes its own bands."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_band_rows" not in names | defined, path.name
+        callers = {
+            func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and node.id == "_release"
+        }
+        if path.name == "cache.py":
+            assert "_bands" in defined
+            assert callers == {"_bands"}, f"_release named in {sorted(callers)}"
+        else:
+            assert "_release" not in names and not callers, path.name

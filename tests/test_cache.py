@@ -840,6 +840,80 @@ class TestPersistence:
         assert not loaded.bits.flags.writeable
         assert loaded == cache
 
+    @pytest.mark.parametrize("confidence", [False, True])
+    @pytest.mark.parametrize("m", [0, 1, 4, 9])
+    def test_save_and_compare_release_every_band(
+        self, monkeypatch, tmp_path, confidence, m
+    ):
+        # bands of 4 rows of bits, and of 1 row of confidences, whose rows
+        # are wider than a band; every band read of a mapped cache is
+        # released, also when == stops at the first unequal band
+        n = 1003
+        monkeypatch.setattr(lleval.cache, "_BAND_BYTES", 4 * ((n + 7) // 8))
+        released, release = [], lleval.cache._release
+
+        def counted(band):
+            released.append((band.ctypes.data, band.nbytes))
+            release(band)
+
+        def bands(cache, upto=None):
+            """(address, bytes) of each band of ``cache``, or of its bits'
+            bands through row ``upto``, sorted."""
+            arrays = [(cache.bits, 4)]
+            if confidence and upto is None:
+                arrays.append((cache.confidence, 1))
+            last = m - 1 if upto is None else upto
+            return sorted(
+                (band.ctypes.data, band.nbytes)
+                for array, step in arrays
+                for band in (array[lo : lo + step] for lo in range(0, last + 1, step))
+            )
+
+        monkeypatch.setattr(lleval.cache, "_release", counted)
+        cache = random_cache(np.random.default_rng(m), m, n, confidence)
+        for name in ("a", "b"):
+            save_cache(cache, tmp_path / f"{name}.llbc")
+        a, b = load_cache(tmp_path / "a.llbc"), load_cache(tmp_path / "b.llbc")
+        released.clear()
+        save_cache(a, tmp_path / "copy.llbc")
+        assert sorted(released) == bands(a)
+        assert (tmp_path / "copy.llbc").read_bytes() == (tmp_path / "a.llbc").read_bytes()
+        released.clear()
+        assert a == b
+        assert sorted(released) == sorted(bands(a) + bands(b))
+        for row in sorted({0, m - 1}) if m else ():
+            dense = cache.to_dense()
+            dense[row, 0] ^= True  # unequal bits in the band of ``row``
+            save_cache(AccuracyCache.from_dense(dense, cache.confidence), tmp_path / "c.llbc")
+            c = load_cache(tmp_path / "c.llbc")
+            released.clear()
+            assert a != c
+            assert sorted(released) == sorted(bands(a, row) + bands(c, row))
+
+    def test_load_reads_one_file_when_its_path_is_replaced(self, tmp_path, monkeypatch):
+        # a file replaced between two opens, as ``os.replace`` does when a
+        # command writes onto its own input, would pair a 100 x 800 header
+        # with the 200 x 400 payload of equal length
+        rng = np.random.default_rng(16)
+        path, other = tmp_path / "c.llbc", tmp_path / "other.llbc"
+        first = random_cache(rng, 100, 800)
+        save_cache(first, path)
+        save_cache(random_cache(rng, 200, 400), other)
+        assert path.stat().st_size == other.stat().st_size
+        opened = []
+
+        def replacing_open(file, *args, **kwargs):
+            handle = open(file, *args, **kwargs)
+            if not opened:  # from here on ``path`` names the other file
+                os.replace(other, path)
+            opened.append(file)
+            return handle
+
+        monkeypatch.setattr(lleval.cache, "open", replacing_open, raising=False)
+        loaded = load_cache(path)
+        assert opened and not other.exists()
+        assert loaded == first
+
     def test_save_writes_without_copy(self, tmp_path):
         import tracemalloc
 
