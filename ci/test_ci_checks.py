@@ -123,7 +123,7 @@ def ties(tmp_path_factory) -> Path:
     """A tie-heavy 301 x 100,003 cache, ranked by `sort`."""
     where = tmp_path_factory.mktemp("ties")
     _lleval("simulate", "--models", "300", "--holdout", "1", "--samples", "100003",
-            "--noise", "0.5", "--budgets", "8", "--skip-baseline", "--seed", "3",
+            "--noise", "0.5", "--budgets", "8", "--seed", "3",
             "--out", where / "ties", "--save-cache", where / "ties.llbc")
     _sort(where / "ties")
     return where / "ties"

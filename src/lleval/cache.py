@@ -321,39 +321,19 @@ class AccuracyCache:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_rows(
-        cls,
-        num_samples: int,
-        rows: Iterable[np.ndarray],
-        confidence: np.ndarray | None = None,
-        num_rows: int | None = None,
-    ) -> "AccuracyCache":
-        """Pack 0/1 rows of length ``num_samples``, reading one row at a time.
-
-        ``num_rows``, or else ``len(rows)``, sizes the one m * n / 8 byte
-        array that each row is packed into in place.
-        """
-        if num_rows is None:
-            num_rows = len(rows)
-        bits = np.empty((num_rows, _row_bytes(num_samples)), dtype=np.uint8)
-        count = 0
-        for count, row in enumerate(rows, 1):
-            if count > num_rows:
-                raise ValueError(f"more than {num_rows} rows")
-            row = _outcomes(row, num_samples, "row")
-            bits[count - 1] = np.packbits(row, bitorder="little")
-        if count != num_rows:
-            raise ValueError(f"{count} rows where {num_rows} were expected")
-        return cls(num_rows, num_samples, bits, confidence)
-
-    @classmethod
     def from_dense(
         cls, matrix: np.ndarray, confidence: np.ndarray | None = None
     ) -> "AccuracyCache":
+        """Pack a 2-D matrix of 0/1 rows one row at a time, so a matrix of
+        numbers is never converted to bool whole."""
         dense = np.asarray(matrix)
         if dense.ndim != 2:
             raise ValueError("dense matrix must be 2-dimensional")
-        return cls.from_rows(dense.shape[1], dense, confidence)
+        m, n = dense.shape
+        bits = np.empty((m, _row_bytes(n)), dtype=np.uint8)
+        for i, row in enumerate(dense):
+            bits[i] = pack_outcomes(_outcomes(row, name="row"))
+        return cls(m, n, bits, confidence)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AccuracyCache):

@@ -13,9 +13,7 @@ import os
 import shlex
 import subprocess
 import sys
-from collections import deque
-from concurrent.futures import Executor, ThreadPoolExecutor
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NoReturn
 
@@ -215,23 +213,6 @@ def _thread_count() -> int:
     return int(raw) or (os.cpu_count() or 1)
 
 
-def _windowed_map(pool: Executor, window: int, fn, items):
-    """``pool.map(fn, items)`` that submits at most ``window`` tasks ahead
-    of the result its caller takes: results come in order, and no more than
-    ``window`` finished ones wait for the caller."""
-    pending = deque()
-    try:
-        for item in items:
-            if len(pending) == window:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-
-
 # the simulate flags that set each SynthSpec field it can reject; --models
 # and --holdout are checked before the spec is built
 _SPEC_FLAGS = {
@@ -266,15 +247,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"{_SPEC_FLAGS[exc.field]} {exc.rule}, not {exc.value}") from None
     budgets = _parse_budgets(args.budgets, spec.num_samples)
     strategy = SamplingStrategy(args.strategy)
-    run_baseline = not args.skip_baseline
     out_dir = Path(args.out)
     _check_parents(out_dir / "curve.csv", args.save_cache)
     # rows, then held-out models; the pool starts a worker only when a task
     # finds none idle, so LLEVAL_THREADS past the work starts no extra thread.
-    # Rows are packed in order, so a window bounds the n-byte rows that
-    # wait for a slow one
+    # Each worker packs the row it draws, so no drawn row waits for another
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        cache_full, _, _ = generate(spec, map=partial(_windowed_map, pool, 2 * threads))
+        cache_full, _, _ = generate(spec, map=pool.map)
         if args.save_cache:
             save_cache(cache_full, args.save_cache)
         sort_cache = cache_full.first_models(args.models)
@@ -289,9 +268,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 pred, _ = evaluate(sort_result.permutation, truth.__getitem__,
                                    budget, strategy, seed)
                 reports.append(scorer.report(pred.k, budget))
-                if run_baseline:
-                    guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, seed)
-                    baseline_maes.append(np.count_nonzero(guess != truth) / truth.size)
+                guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, seed)
+                baseline_maes.append(np.count_nonzero(guess != truth) / truth.size)
             return reports, baseline_maes
 
         per_model = list(pool.map(work, range(args.holdout)))
@@ -304,13 +282,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         medians.append(ErrorReport(budget=budget, **values))
     write_error_curve(out_dir / "curve.csv", medians)
 
-    baseline_rows = []
-    if run_baseline:
-        for bi, budget in enumerate(budgets):
-            med = float(np.median([res[1][bi] for res in per_model]))
-            baseline_rows.append({"budget": budget, "mae": med})
-        rows = [(r["budget"], repr(r["mae"])) for r in baseline_rows]
-        _write_rows(out_dir / "baseline.csv", [("budget", "mae")] + rows)
+    baseline_rows = [
+        {"budget": budget, "mae": float(np.median([res[1][bi] for res in per_model]))}
+        for bi, budget in enumerate(budgets)
+    ]
+    rows = [(r["budget"], repr(r["mae"])) for r in baseline_rows]
+    _write_rows(out_dir / "baseline.csv", [("budget", "mae")] + rows)
 
     if len(budgets) >= 4:
         fit = fit_exp_decay(np.asarray(budgets, dtype=float), [m.mae for m in medians])
@@ -415,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--budgets")
     p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
-    p.add_argument("--skip-baseline", action="store_true")
     p.add_argument("--save-cache", help="also write the generated cache as LLBC")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)

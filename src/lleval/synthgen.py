@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import AccuracyCache
+from .cache import AccuracyCache, _row_bytes, pack_outcomes
 
 _PARAM_STREAM = 0
 _ROW_STREAM = 1
@@ -99,20 +99,24 @@ def generate(
 
     ``map`` applies the row function to every row index, for example a
     thread pool's ``map``.  Each row draws from its own (seed, index) stream
-    and rows are packed in index order, so the cache never depends on it.
+    and is packed where it is drawn, into its own row of one preallocated
+    array, so the cache never depends on the order in which ``map`` runs.
     """
     difficulties, abilities = _params(spec)
     m, n = spec.num_models, spec.num_samples
+    bits = np.empty((m, _row_bytes(n)), dtype=np.uint8)
     confidence = np.zeros((m, n), dtype=np.float32) if include_confidence else None
 
-    def row(i: int) -> np.ndarray:
+    def row(i: int) -> None:
         p = _correct_probability(spec, float(abilities[i]), difficulties)
         if confidence is not None:
-            confidence[i] = p  # filled before from_rows checks it
-        return np.random.default_rng([spec.seed, _ROW_STREAM, i]).random(n) < p
+            confidence[i] = p
+        draw = np.random.default_rng([spec.seed, _ROW_STREAM, i]).random(n)
+        bits[i] = pack_outcomes(draw < p)
 
-    cache = AccuracyCache.from_rows(n, map(row, range(m)), confidence, num_rows=m)
-    return cache, abilities, difficulties
+    for _ in map(row, range(m)):
+        pass
+    return AccuracyCache(m, n, bits, confidence), abilities, difficulties
 
 
 def _ability_key(ability: float) -> int:

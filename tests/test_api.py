@@ -1,7 +1,9 @@
-"""The README's Library table lists the whole public API, and nothing else;
-the package's modules import only what they use, the ranking and search
-layers depend on the cache alone, and one walker reads a cache's bands."""
+"""The README's Library table lists the whole public API, and nothing else,
+and its Command line section names every option; the package's modules
+import only what they use, the ranking and search layers depend on the
+cache alone, and one walker reads a cache's bands."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import lleval
+from lleval.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(lleval.__file__).resolve().parent
@@ -32,6 +35,26 @@ def test_each_listed_name_is_defined_by_its_module():
     for name, module in _listed():
         found = getattr(importlib.import_module(module), name)
         assert found is getattr(lleval, name) and found.__module__ == module, name
+
+
+def _options(parser):
+    """Every option string of a parser and of its subcommands, but --help."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _options(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            yield from action.option_strings
+
+
+def test_readme_command_line_names_every_option():
+    text = README.read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    missing = sorted(
+        {opt for opt in _options(_build_parser())
+         if not re.search(rf"{re.escape(opt)}(?![\w-])", section)}
+    )
+    assert not missing, f"README's Command line section never names {missing}"
 
 
 def _imports(tree):

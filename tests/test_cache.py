@@ -92,35 +92,42 @@ class TestConstruction:
             assert cache.num_models == m
             assert cache.num_samples == n
 
-    def test_from_rows_matches_from_dense(self):
+    def test_from_dense_packs_numbers_as_their_bools(self):
         rng = np.random.default_rng(12)
         for m, n in [(0, 0), (0, 5), (3, 0), (1, 8), (4, 13)]:
             dense = rng.random((m, n)) < 0.5
             conf = rng.random((m, n)).astype(np.float32)
-            want = AccuracyCache.from_dense(dense, conf)
-            got = AccuracyCache.from_rows(n, (row for row in dense), conf, num_rows=m)
-            assert got == want
-            assert got.bits.shape == want.bits.shape
-            assert AccuracyCache.from_rows(n, dense.astype(np.uint8)) == (
-                AccuracyCache.from_dense(dense)
-            )
+            want = np.packbits(dense, axis=1, bitorder="little")
+            for matrix in (dense, dense.astype(np.uint8), dense.astype(np.int64)):
+                got = AccuracyCache.from_dense(matrix, conf)
+                assert got.bits.shape == want.shape
+                assert np.array_equal(got.bits, want)
+                assert np.array_equal(got.confidence, conf)
 
-    def test_from_rows_checks_each_row(self):
-        with pytest.raises(ValueError, match="length"):
-            AccuracyCache.from_rows(3, [np.zeros(3, bool), np.zeros(4, bool)])
-        with pytest.raises(ValueError, match="0 or 1"):
-            AccuracyCache.from_rows(2, [np.array([0, 2])])
+    def test_from_dense_checks_each_row(self):
+        with pytest.raises(ValueError, match="^row entries must be 0 or 1$"):
+            AccuracyCache.from_dense([[0, 1], [0, 2]])
+        for shape in [(3,), (2, 3, 1)]:
+            with pytest.raises(ValueError, match="^dense matrix must be 2-dimensional$"):
+                AccuracyCache.from_dense(np.zeros(shape, bool))
 
-    def test_from_rows_num_rows(self):
-        dense = np.random.default_rng(14).random((5, 21)) < 0.5
-        want = AccuracyCache.from_dense(dense)
-        assert AccuracyCache.from_rows(21, iter(dense), num_rows=5) == want
-        with pytest.raises(TypeError, match="len"):  # unsized, with no count
-            AccuracyCache.from_rows(21, iter(dense))
-        with pytest.raises(ValueError, match="^more than 4 rows$"):
-            AccuracyCache.from_rows(21, iter(dense), num_rows=4)
-        with pytest.raises(ValueError, match="^5 rows where 6 were expected$"):
-            AccuracyCache.from_rows(21, iter(dense), num_rows=6)
+    def test_from_dense_converts_one_row_at_a_time(self):
+        import tracemalloc
+
+        m, n = 64, 100_000
+        dense = (np.random.default_rng(14).random((m, n)) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cache = AccuracyCache.from_dense(dense)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the packed bits and one row's 0/1 checks and bools, not an m x n
+        # bool copy of the matrix
+        assert peak <= m * n // 8 + 4 * n
+        assert np.array_equal(cache.to_dense(), dense.astype(bool))
 
     def test_first_models_is_the_leading_rows(self):
         rng = np.random.default_rng(13)

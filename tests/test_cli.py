@@ -785,7 +785,7 @@ class TestSimulate:
             ["simulate", "--models", "20", "--holdout", "1", "--samples", "700",
              "--tau", "0.2", "--noise", "0.05", "--seed", "6",
              "--budgets", ",".join(map(str, budgets)), "--strategy", "random",
-             "--skip-baseline", "--out", str(out_dir)]
+             "--out", str(out_dir)]
         )
         assert rc == 0
         spec = SynthSpec(21, 700, temperature=0.2, noise=0.05, seed=6)
@@ -829,44 +829,6 @@ class TestSimulate:
         assert (tmp_path / "serial.llbc").read_bytes() == (
             tmp_path / "threaded.llbc"
         ).read_bytes()
-
-    def test_finished_rows_wait_in_a_window(self, tmp_path, monkeypatch):
-        # rows are packed in order; behind a slow packer, at most 2 x
-        # LLEVAL_THREADS finished rows may wait, not every row of the cache
-        import threading
-        import time
-
-        from lleval import synthgen
-
-        lock, counts = threading.Lock(), {"done": 0, "packed": 0, "waiting": 0}
-        generate = synthgen.generate
-
-        def counted(fn, items, map):
-            def row(i):
-                outcomes = fn(i)
-                with lock:
-                    counts["done"] += 1
-                    waiting = counts["done"] - counts["packed"]
-                    counts["waiting"] = max(counts["waiting"], waiting)
-                return outcomes
-
-            for outcomes in map(row, items):
-                time.sleep(0.002)
-                with lock:
-                    counts["packed"] += 1
-                yield outcomes
-
-        def slow_packer(spec, include_confidence=False, map=map):
-            return generate(
-                spec, include_confidence, lambda fn, items: counted(fn, items, map)
-            )
-
-        monkeypatch.setattr(synthgen, "generate", slow_packer)
-        monkeypatch.setenv("LLEVAL_THREADS", "4")
-        assert main(["simulate", "--models", "60", "--holdout", "3", "--samples",
-                     "200", "--budgets", "8,32", "--out", str(tmp_path / "out")]) == 0
-        assert counts["packed"] == 63
-        assert 1 <= counts["waiting"] <= 8
 
     SMALL_SWEEP = ["simulate", "--models", "12", "--holdout", "3", "--samples",
                    "200", "--seed", "4", "--budgets", "8,32"]

@@ -66,7 +66,8 @@ def _appended(col):
 
 # entry point -> (row length it checks, or None, call on a row)
 ENTRIES = {
-    "from_rows": (N, lambda r: AccuracyCache.from_rows(N, [r])),
+    # a one-row matrix: its width is the row's, so no length to break
+    "from_dense": (None, lambda r: AccuracyCache.from_dense([r])),
     "nearest_row": (COLS.size, lambda r: CACHE.nearest_row(COLS, r)),
     "dp_search": (None, dp_search),
     # a row's __getitem__ as a batch oracle: its answers, not the row, are checked
@@ -139,8 +140,8 @@ EXPECTED = {
                             "aleatoric": 0.3333333333333333,
                             "epistemic": 0.16666666666666666, "budget": 4},
     "evaluate": (("threshold", 12, 3), ([2, 4, 7, 9], [True, False, False, False])),
-    "from_rows": [[True, False, True, True, False, True, True, False, True, False, False,
-                   True]],
+    "from_dense": [[True, False, True, True, False, True, True, False, True, False, False,
+                    True]],
     "mae": 0.5,
     "nearest_row": 0,
     "oracle_answers": (("threshold", 12, 10),
@@ -178,7 +179,8 @@ def test_bool_and_int_rows_score_as_before(entry):
 )
 def test_bad_rows_rejected(entry, kind):
     length, call = ENTRIES[entry]
-    with pytest.raises(ValueError, match="1-dimensional|length|0 or 1"):
+    # from_dense reads a 2-D row in a one-row matrix as a 3-D matrix
+    with pytest.raises(ValueError, match="[12]-dimensional|length|0 or 1"):
         call(_bad_rows(length)[kind])
 
 

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -79,12 +81,33 @@ class TestGenerate:
     def test_thread_pool_map_matches_serial(self, m, n):
         spec = SynthSpec(m, n, temperature=0.2, noise=0.05, seed=12)
         want, ab_want, d_want = generate(spec, include_confidence=True)
-        with ThreadPoolExecutor(4) as pool:
-            got, ab_got, d_got = generate(spec, include_confidence=True, map=pool.map)
+        # more workers than cores, switching often, each writing its own rows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got, ab_got, d_got = generate(
+                    spec, include_confidence=True, map=partial(pool.map, timeout=60)
+                )
+        finally:
+            sys.setswitchinterval(interval)
         assert np.array_equal(got.bits, want.bits)
         assert got.confidence.shape == (m, n)
         assert np.array_equal(got.confidence.view(np.uint32), want.confidence.view(np.uint32))
         assert np.array_equal(ab_got, ab_want) and np.array_equal(d_got, d_want)
+
+    def test_rows_may_run_in_any_order(self):
+        # a map that runs the rows last to first, and returns what they
+        # return in that order: each row is packed where it is drawn
+        spec = SynthSpec(9, 203, temperature=0.2, noise=0.05, seed=12)
+        want, _, _ = generate(spec, include_confidence=True)
+
+        def reversed_map(fn, items):
+            return [fn(i) for i in reversed(list(items))]
+
+        got, _, _ = generate(spec, include_confidence=True, map=reversed_map)
+        assert np.array_equal(got.bits, want.bits)
+        assert np.array_equal(got.confidence.view(np.uint32), want.confidence.view(np.uint32))
 
     def test_serial_peak_is_the_packed_cache_and_four_float_rows(self):
         m, n = 300, 100_000
@@ -104,6 +127,24 @@ class TestGenerate:
         # the bits of this spec as rows were packed before preallocation
         digest = hashlib.sha256(cache.bits.tobytes()).hexdigest()
         assert digest == "e4e8ba3922800588796c44325f8237c310e1e8784d22fb1445f584f550fc64ea"
+
+    def test_four_thread_peak_is_the_packed_cache_and_a_row_per_thread(self):
+        m, n = 300, 100_000
+        spec = SynthSpec(m, n, temperature=0.2, noise=0.05, seed=13)
+        with ThreadPoolExecutor(4) as pool:
+            generate(SynthSpec(8, 16), map=pool.map)  # starts the four workers
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                generate(spec, map=pool.map)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        # no drawn row waits to be packed: beyond the packed bits, the
+        # difficulties and each worker's row in flight (82 B per sample
+        # measured), and the pool's futures; m rows gathered first take m*n
+        assert peak <= m * n // 8 + 88 * n + (64 << 10)
 
     def test_cache_invariants_hold(self):
         spec = SynthSpec(7, 29, seed=11)
