@@ -45,7 +45,7 @@ _INT32_MAX = np.iinfo(np.int32).max
 _BYTE_COLUMNS_LOCK = threading.Lock()
 
 # bytes of a band of rows copied to scratch at once: popcounted by
-# ``row_sums``, or grown by ``save_appended_cache``
+# ``row_sums``, or grown by ``_grown_chunks``
 _CHUNK_BYTES = 1 << 20
 # packed bytes per ``column_sums`` tile: its bit planes and carries stay in L2
 _TILE_BYTES = 1 << 16
@@ -251,23 +251,6 @@ def _bands(
 def _check_unit_range(conf: np.ndarray) -> None:
     if conf.size and not (conf.min() >= 0.0 and conf.max() <= 1.0):  # NaN too
         raise ValueError("confidence values must lie in [0, 1]")
-
-
-def _grow_bits(out: np.ndarray, rows: np.ndarray, col: np.ndarray, n: int) -> None:
-    """The one rule for a new column: ``out`` gets the packed ``rows`` of
-    ``n`` columns, then the bool ``col`` as column ``n``, in the byte's
-    first padding bit or in a new byte."""
-    out[:, : rows.shape[1]] = rows
-    out[:, rows.shape[1] :] = 0
-    out[:, n // 8] |= col.view(np.uint8) << (n % 8)
-
-
-def _grow_confidence(
-    out: np.ndarray, rows: np.ndarray, col: np.ndarray, n: int
-) -> None:
-    """``out`` gets the confidence ``rows`` of ``n`` columns, then ``col``."""
-    out[:, :n] = rows
-    out[:, n] = col
 
 
 def _unpacked_lanes(plane: np.ndarray) -> np.ndarray:
@@ -629,7 +612,9 @@ def _replacing_writer(path: str | Path, size: int):
 
     Applies ``_check_parents`` first, so a blocked parent fails there,
     naming it, and not at the hidden temporary file; then makes the missing
-    parents, the only place any is made.  The temporary file's ``size``
+    parents, the only place any is made.  A write that fails, or is
+    abandoned, removes the temporary file and then the parents it made,
+    deepest first, each only if it is empty.  The temporary file's ``size``
     bytes are reserved before the first write (``os.posix_fallocate``,
     where there is one): the file system allocates its blocks at once,
     not a page at a time, and a full disk fails before any data is
@@ -637,9 +622,14 @@ def _replacing_writer(path: str | Path, size: int):
     """
     path = Path(path)
     _check_parents(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    made = []  # the missing parents, deepest first
+    parent = path.parent
+    while not parent.exists():
+        made.append(parent)
+        parent = parent.parent
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
             if size and hasattr(os, "posix_fallocate"):
                 try:
@@ -653,6 +643,9 @@ def _replacing_writer(path: str | Path, size: int):
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):  # not empty, or never made
+                directory.rmdir()
         raise
 
 
@@ -753,14 +746,13 @@ def _cache_size(m: int, n: int, flags: int) -> int:
     return _HEADER.size + m * _row_bytes(n) + conf
 
 
-def _write_cache(
-    path: str | Path, cache: AccuracyCache, num_samples: int, *blocks: tuple
-) -> None:
-    """LLBC of ``cache``'s models at ``num_samples`` samples from ``blocks``."""
+def _cache_header(cache: AccuracyCache, num_samples: int) -> tuple[bytes, int]:
+    """The LLBC header of ``cache``'s models at ``num_samples`` samples, and
+    the file's length."""
     m = cache.num_models
     flags = _FLAG_CONFIDENCE if cache.confidence is not None else 0
     header = _HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, m, num_samples, flags)
-    _write_blocks(path, _cache_size(m, num_samples, flags), header, *blocks)
+    return header, _cache_size(m, num_samples, flags)
 
 
 def save_cache(cache: AccuracyCache, path: str | Path) -> None:
@@ -770,23 +762,121 @@ def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     if cache.confidence is not None:
         arrays.append((cache.confidence, "<f4"))
     blocks = [((band for _, band in _bands(a, _BAND_BYTES)), t) for a, t in arrays]
-    _write_cache(path, cache, cache.num_samples, *blocks)
+    header, size = _cache_header(cache, cache.num_samples)
+    _write_blocks(path, size, header, *blocks)
 
 
-def _grown_chunks(
-    block: np.ndarray, col: np.ndarray, width: int, n: int, grow
-) -> Iterable[np.ndarray]:
-    """The rows of ``block`` grown by ``col`` to ``width`` items, as one
-    reused buffer of at most ``_CHUNK_BYTES``, or one row, refilled by
-    ``grow`` for each band of rows (``_bands``)."""
+def _grown_chunks(block: np.ndarray, width: int) -> Iterable[np.ndarray]:
+    """The rows of ``block`` widened to ``width`` items, the new ones zero,
+    as one reused buffer of at most ``_CHUNK_BYTES``, or one row, refilled
+    for each band of rows (``_bands``)."""
     buf = np.empty((0, width), dtype=block.dtype)
+    old = block.shape[1]
     # bands of rows whose copies, grown to ``width`` items, fit in _CHUNK_BYTES
-    for lo, rows in _bands(block, _CHUNK_BYTES * block.shape[1] // width):
+    for _, rows in _bands(block, _CHUNK_BYTES * old // width):
         if len(buf) < len(rows):  # the first band, the largest
             buf = np.empty((len(rows), width), dtype=block.dtype)
         out = buf[: len(rows)]
-        grow(out, rows, col[lo : lo + len(rows)], n)
+        out[:, :old] = rows
+        out[:, old:] = 0
         yield out
+
+
+def _new_column(
+    cache: AccuracyCache, col: np.ndarray, confidence_col: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``cache``'s next sample checked: its bool outcomes, and its float32
+    confidences if and only if ``cache`` stores confidences."""
+    m = cache.num_models
+    col = _outcomes(col, m, "column")
+    if cache.confidence is None:
+        if confidence_col is not None:
+            raise ValueError("cache stores no confidences; confidence_col not allowed")
+        return col, None
+    if confidence_col is None:
+        raise ValueError("cache stores confidences; confidence_col required")
+    confidence_col = np.asarray(confidence_col, dtype=np.float32)
+    if confidence_col.shape != (m,):
+        raise ValueError(
+            f"confidence_col shape {confidence_col.shape} does not match {m} models"
+        )
+    _check_unit_range(confidence_col)
+    return col, confidence_col
+
+
+def _pwrite_column(fd: int, start: int, stride: int, items: np.ndarray) -> None:
+    """Item i of ``items`` to byte ``start + i * stride`` of the open ``fd``."""
+    data, size = items.tobytes(), items.itemsize
+    for i in range(items.size):
+        os.pwrite(fd, data[i * size : (i + 1) * size], start + i * stride)
+
+
+@contextlib.contextmanager
+def _appending_writer(cache: AccuracyCache, path: str | Path):
+    """Write ``cache`` with one more sample to ``path`` while the caller
+    works out that sample, and yield ``put(col, confidence_col=None)``,
+    which sets it.
+
+    Entering is ``_replacing_writer``'s: the parents are checked and made
+    and the whole file is reserved, so a blocked target or a full disk
+    fails here.  Then one thread writes the header, the grown rows and any
+    grown confidences (``_grown_chunks``), with the new column zero.
+    ``put`` checks the column, waits for that thread, and writes the
+    column into the temporary file an item per row (``os.pwrite``; a
+    shared map would make the file's pages resident) by the one rule for
+    a new column: bit ``n % 8`` of byte ``n // 8`` of each row, and item
+    ``n`` of each confidence row.  The file replaces ``path`` only after
+    ``put``.  If the body fails first, the thread stops between chunks
+    and is joined, and the temporary file and the parents made for it are
+    removed.  ``path`` may be the file ``cache`` was loaded from.
+    """
+    m, n = cache.num_models, cache.num_samples
+    header, size = _cache_header(cache, n + 1)
+    rb = _row_bytes(n + 1)
+    blocks = [(_grown_chunks(cache.bits, rb), "u1")]
+    if cache.confidence is not None:
+        blocks.append((_grown_chunks(cache.confidence, n + 1), "<f4"))
+    stop, failed, done = threading.Event(), [], []
+    with _replacing_writer(path, size) as fh:
+
+        def write() -> None:
+            try:
+                fh.write(header)
+                for chunks, dtype in blocks:
+                    for chunk in chunks:
+                        if stop.is_set():
+                            return
+                        fh.write(chunk.astype(dtype, copy=False).data)
+            except Exception as exc:  # raised by ``put``
+                failed.append(exc)
+
+        def put(col: np.ndarray, confidence_col: np.ndarray | None = None) -> None:
+            col, confidence_col = _new_column(cache, col, confidence_col)
+            thread.join()
+            if failed:
+                raise failed[0]
+            fh.flush()  # bytes still buffered would land over the column
+            # byte n // 8 of each grown row: the input's last byte, or a new one
+            tail = np.zeros(m, np.uint8)
+            if n % 8:
+                for lo, band in _bands(cache.bits, _BAND_BYTES):
+                    tail[lo : lo + len(band)] = band[:, -1]
+            tail |= col.view(np.uint8) << (n % 8)
+            _pwrite_column(fh.fileno(), _HEADER.size + n // 8, rb, tail)
+            if confidence_col is not None:
+                start = _HEADER.size + m * rb + 4 * n
+                _pwrite_column(fh.fileno(), start, 4 * (n + 1), confidence_col.astype("<f4"))
+            done.append(True)
+
+        thread = threading.Thread(target=write, name="lleval-append-out")
+        thread.start()
+        try:
+            yield put
+        finally:
+            stop.set()
+            thread.join()
+        if not done:
+            raise RuntimeError(f"no new column was put into {path}")
 
 
 def save_appended_cache(
@@ -799,27 +889,10 @@ def save_appended_cache(
     ``cache`` stores confidences, ``confidence_col``, as LLBC without
     building it: the grown rows, then the grown confidences, are made from
     ``cache``'s own (possibly mapped) arrays a bounded chunk at a time, and
-    existing columns are untouched.  ``path`` may be the file ``cache`` was
-    loaded from."""
-    m, n = cache.num_models, cache.num_samples
-    col = _outcomes(col, m, "column")
-    conf = []
-    if cache.confidence is None:
-        if confidence_col is not None:
-            raise ValueError("cache stores no confidences; confidence_col not allowed")
-    else:
-        if confidence_col is None:
-            raise ValueError("cache stores confidences; confidence_col required")
-        confidence_col = np.asarray(confidence_col, dtype=np.float32)
-        if confidence_col.shape != (m,):
-            raise ValueError(
-                f"confidence_col shape {confidence_col.shape} does not match {m} models"
-            )
-        _check_unit_range(confidence_col)
-        grown = _grown_chunks(cache.confidence, confidence_col, n + 1, n, _grow_confidence)
-        conf = [(grown, "<f4")]
-    bits = _grown_chunks(cache.bits, col, _row_bytes(n + 1), n, _grow_bits)
-    _write_cache(path, cache, n + 1, (bits, "u1"), *conf)
+    existing columns are untouched (``_appending_writer``).  ``path`` may
+    be the file ``cache`` was loaded from."""
+    with _appending_writer(cache, path) as put:
+        put(col, confidence_col)
 
 
 def load_cache(path: str | Path) -> AccuracyCache:

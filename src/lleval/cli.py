@@ -8,6 +8,7 @@ inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
@@ -21,6 +22,7 @@ import numpy as np
 
 from .baseline import copy_nearest_expand_from_truth
 from .cache import (
+    _appending_writer,
     _check_parents,
     _read_json,
     _read_outcomes,
@@ -29,7 +31,6 @@ from .cache import (
     import_csv,
     load_cache,
     load_permutation,
-    save_appended_cache,
     save_cache,
     save_permutation,
     save_sums,
@@ -183,23 +184,26 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         oracle = outcomes.__getitem__
     else:
         oracle = _command_oracle(args.oracle_cmd)
-    pred, sel = evaluate(model_sort.permutation, oracle, budget, strategy, args.seed)
-    record = prediction_to_dict(pred, sel)
-    record["difficulty_rank"] = pred.k  # models expected to solve it
-    if args.outcomes is not None:
-        report = RankedTruth(outcomes, model_sort.permutation).report(pred.k, budget)
-        record["report"] = report.to_dict()
-    if args.report:
-        _write_json(args.report, record)
-    else:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    if args.append_out:
-        order = model_sort.permutation.order
-        column = np.zeros(cache.num_models, dtype=bool)
-        column[order[: pred.k]] = True
-        # a stored confidence binarizes at 0.5, so 0/1 round-trips the column
-        confidence = None if cache.confidence is None else column.astype(np.float32)
-        save_appended_cache(cache, args.append_out, column, confidence)
+    # the grown cache is written while the oracle answers, its new column zero
+    # until ``put`` sets it
+    grown = (_appending_writer(cache, args.append_out) if args.append_out
+             else contextlib.nullcontext())
+    with grown as put:
+        pred, sel = evaluate(model_sort.permutation, oracle, budget, strategy, args.seed)
+        record = prediction_to_dict(pred, sel)
+        record["difficulty_rank"] = pred.k  # models expected to solve it
+        if args.outcomes is not None:
+            report = RankedTruth(outcomes, model_sort.permutation).report(pred.k, budget)
+            record["report"] = report.to_dict()
+        if args.report:
+            _write_json(args.report, record)
+        else:
+            print(json.dumps(record, indent=2, sort_keys=True))
+        if put:
+            column = np.zeros(cache.num_models, dtype=bool)
+            column[model_sort.permutation.order[: pred.k]] = True
+            # a stored confidence binarizes at 0.5, so 0/1 round-trips the column
+            put(column, None if cache.confidence is None else column.astype(np.float32))
     return 0
 
 

@@ -1,7 +1,8 @@
 """The README's Library table lists the whole public API, and nothing else,
 and its Command line section names every option; the package's modules
 import only what they use, the ranking and search layers depend on the
-cache alone, and one walker reads a cache's bands."""
+cache alone, one walker reads a cache's bands, and one writer makes
+directories."""
 
 import argparse
 import ast
@@ -109,3 +110,18 @@ def test_only_the_band_walker_releases():
             assert callers == {"_bands"}, f"_release named in {sorted(callers)}"
         else:
             assert "_release" not in names and not callers, path.name
+
+
+def test_only_the_replacing_writer_makes_directories():
+    """``cache._replacing_writer`` is the one place that names ``mkdir``, so
+    every directory a write makes is one it removes if the write fails."""
+    makers = {
+        (path.name, func.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if (isinstance(node, ast.Attribute) and node.attr in ("mkdir", "makedirs"))
+        or (isinstance(node, ast.Name) and node.id in ("mkdir", "makedirs"))
+    }
+    assert makers == {("cache.py", "_replacing_writer")}

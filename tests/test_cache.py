@@ -9,6 +9,7 @@ import os
 import re
 import struct
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -39,7 +40,8 @@ from lleval import (
 import lleval
 import lleval.cache
 from lleval.cache import (
-    _SLICE_BYTES, _TILE_BYTES, _WRITE_CHUNK, _write_blocks, _write_rows,
+    _SLICE_BYTES, _TILE_BYTES, _WRITE_CHUNK, _appending_writer, _replacing_writer,
+    _write_blocks, _write_rows,
 )
 from lleval.cli import _write_json
 
@@ -1109,6 +1111,70 @@ class TestPersistence:
             _write_blocks(path, 8, b"head", (iter([data[:2], data[2:]]), "u1"))
         assert path.read_bytes() == old == b"HEAD\0\1\2\3"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path):
+        """A body that raises leaves no temporary file and none of the
+        parents the writer made; a parent that existed, or that another
+        file landed in, stays."""
+        (tmp_path / "old").mkdir()
+        path = tmp_path / "old" / "a" / "b" / "out.bin"
+        with pytest.raises(RuntimeError, match="body failed"):
+            with _replacing_writer(path, 4) as fh:
+                fh.write(b"ab")
+                raise RuntimeError("body failed")
+        assert [p.name for p in tmp_path.rglob("*")] == ["old"]
+        with pytest.raises(RuntimeError, match="body failed"):
+            with _replacing_writer(path, 4):
+                (tmp_path / "old" / "a" / "kept").write_text("another file")
+                raise RuntimeError("body failed")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "kept", "old"]
+
+    def test_abandoned_write_removes_the_directories_it_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.bin"
+        writer = _replacing_writer.__wrapped__(path, 4)
+        next(writer).write(b"abcd")
+        writer.close()  # abandoned before the rename
+        assert list(tmp_path.iterdir()) == []
+
+    def test_appending_writer_stops_between_chunks(self, tmp_path, monkeypatch):
+        """A body that fails before ``put`` stops the write at the next
+        chunk and joins its thread: no target, no temporary file, no
+        directory it made, and the mapped input as it was."""
+        rng = np.random.default_rng(7)
+        path = tmp_path / "cache.llbc"
+        save_cache(random_cache(rng, 64, 1001, True), path)
+        before = path.read_bytes()
+        cache = load_cache(path)
+        monkeypatch.setattr(lleval.cache, "_CHUNK_BYTES", 1)  # a row per chunk
+        real, yielded = lleval.cache._grown_chunks, []
+
+        def slow(block, width):
+            for chunk in real(block, width):
+                yielded.append(len(chunk))
+                time.sleep(0.005)
+                yield chunk
+
+        monkeypatch.setattr(lleval.cache, "_grown_chunks", slow)
+        threads = threading.active_count()
+        for target in (tmp_path / "new" / "grown.llbc", path):
+            yielded.clear()
+            with pytest.raises(RuntimeError, match="oracle failed"):
+                with _appending_writer(cache, target):
+                    deadline = time.monotonic() + 10
+                    while not yielded and time.monotonic() < deadline:
+                        time.sleep(0.001)  # until the thread is writing
+                    raise RuntimeError("oracle failed")
+            assert 0 < len(yielded) < 2 * 64  # a row and a confidence row each
+            assert threading.active_count() == threads
+            assert [p.name for p in tmp_path.iterdir()] == ["cache.llbc"]
+            assert path.read_bytes() == before
+
+    def test_appending_writer_needs_its_column(self, tmp_path):
+        cache = random_cache(np.random.default_rng(8), 3, 9)
+        with pytest.raises(RuntimeError, match="no new column"):
+            with _appending_writer(cache, tmp_path / "new" / "grown.llbc"):
+                pass
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoadersOnAnyBytes:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -645,6 +646,146 @@ class TestInsertSample:
         assert np.array_equal(grown.confidence[:, 20], outcomes.astype(np.float32))
         assert np.array_equal(grown.confidence[:, :20], cache.confidence)
         assert np.array_equal(grown.confidence >= 0.5, grown.to_dense())
+
+
+# ``sh SCRIPT LOG FAIL_AT A0 A1 ... INDEX``: logs INDEX, sleeps 10 ms, then
+# exits 3 if this is call FAIL_AT (0: never) and prints answer A<INDEX> if not
+SLOW_ORACLE = """log=$1 fail=$2
+shift 2
+eval "index=\\${$#}"
+printf '%s\\n' "$index" >> "$log"
+sleep 0.01
+if [ "$(wc -l < "$log")" -eq "$fail" ]; then exit 3; fi
+shift "$index"
+printf '%s\\n' "$1"
+"""
+
+
+class TestAppendWhileAsking:
+    """``insert-sample --oracle-cmd --append-out`` writes the grown cache
+    while the oracle answers, and sets the new column once it is known."""
+
+    def _oracle(self, tmp_path, answers, fail_at=0):
+        script = tmp_path / "oracle.sh"
+        script.write_text(SLOW_ORACLE)
+        log = tmp_path / "asked.log"
+        log.write_text("")
+        words = " ".join("1" if a else "0" for a in answers)
+        return log, f"sh {script} {log} {fail_at} {words}"
+
+    @pytest.mark.parametrize("confidence", [False, True])
+    @pytest.mark.parametrize("n", [64_000, 64_003])  # n % 8 in {0, 3}
+    def test_grown_file_is_save_of_append_column(
+        self, tmp_path, monkeypatch, n, confidence
+    ):
+        import lleval.cache
+
+        rng = np.random.default_rng(n)
+        conf = rng.random((40, n)).astype(np.float32)
+        cache = AccuracyCache.from_dense(conf >= 0.5, conf if confidence else None)
+        cache_path = tmp_path / "cache.llbc"
+        save_cache(cache, cache_path)
+        log, oracle = self._oracle(tmp_path, rng.random(40) < 0.5)
+        # many chunks, so the rows are still being written as the oracle answers
+        monkeypatch.setattr(lleval.cache, "_CHUNK_BYTES", 1 << 16)
+        grown_path, report_path = tmp_path / "grown.llbc", tmp_path / "r.json"
+        assert main(["insert-sample", "--cache", str(cache_path),
+                     "--oracle-cmd", oracle, "--budget", "8",
+                     "--report", str(report_path),
+                     "--append-out", str(grown_path)]) == 0
+        assert len(log.read_text().split()) == 8
+        k = json.loads(report_path.read_text())["difficulty_rank"]
+        column = np.zeros(40, dtype=bool)
+        column[sort_models_by_sum(cache).permutation.order[:k]] = True
+        want = tmp_path / "want.llbc"
+        save_cache(append_column(cache, column, column.astype(np.float32)
+                                 if confidence else None), want)
+        assert grown_path.read_bytes() == want.read_bytes()
+
+    def test_file_is_reserved_before_the_first_query(self, small_setup, monkeypatch):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        grown_path = tmp_path / "new" / "grown.llbc"
+        seen = []
+
+        def oracle(command):
+            def ask(indices):
+                if not seen:
+                    seen.extend(p.stat().st_size for p in grown_path.parent.glob(".*.tmp"))
+                return [True] * indices.size
+            return ask
+
+        monkeypatch.setattr(cli, "_command_oracle", oracle)
+        assert main(["insert-sample", "--cache", str(cache_path), "--oracle-cmd", "x",
+                     "--budget", "5", "--append-out", str(grown_path)]) == 0
+        assert seen == [grown_path.stat().st_size]
+
+    @pytest.mark.parametrize("target", ["new", "cache"])
+    def test_failing_oracle_leaves_no_trace(self, small_setup, capsys, target):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        old = cache_path.read_bytes()
+        before = sorted(tmp_path.rglob("*"))
+        log, oracle = self._oracle(tmp_path, np.ones(12, dtype=bool), fail_at=5)
+        grown_path = tmp_path / "new" / "g.llbc" if target == "new" else cache_path
+        threads = threading.active_count()
+        capsys.readouterr()
+        assert main(["insert-sample", "--cache", str(cache_path), "--oracle-cmd", oracle,
+                     "--budget", "8", "--append-out", str(grown_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: oracle command failed") and err.count("\n") == 1
+        assert len(log.read_text().split()) == 5
+        assert threading.active_count() == threads
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not (tmp_path / "new").exists()
+        assert cache_path.read_bytes() == old
+        assert load_cache(cache_path).num_samples == 60
+        assert sorted(tmp_path.rglob("*")) == sorted(before + [log, log.parent / "oracle.sh"])
+
+    def test_full_disk_costs_no_query(self, small_setup, monkeypatch, capsys):
+        import errno
+
+        tmp_path, dense, cache_path, perm_path = small_setup
+        log, oracle = self._oracle(tmp_path, np.ones(12, dtype=bool))
+        grown_path = tmp_path / "new" / "g.llbc"
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        capsys.readouterr()
+        rc = main(["insert-sample", "--cache", str(cache_path), "--oracle-cmd", oracle,
+                   "--budget", "8", "--report", str(tmp_path / "r.json"),
+                   "--append-out", str(grown_path)])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert log.read_text() == ""
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not (tmp_path / "new").exists() and not (tmp_path / "r.json").exists()
+
+    def test_interrupt_leaves_no_trace(self, small_setup, monkeypatch):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        grown_path = tmp_path / "new" / "g.llbc"
+        asked = []
+
+        def oracle(command):
+            def ask(indices):
+                for index in indices.tolist():
+                    asked.append(index)
+                    if len(asked) == 5:
+                        raise KeyboardInterrupt
+                return [True] * indices.size
+            return ask
+
+        monkeypatch.setattr(cli, "_command_oracle", oracle)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            main(["insert-sample", "--cache", str(cache_path), "--oracle-cmd", "x",
+                  "--budget", "8", "--append-out", str(grown_path)])
+        assert len(asked) == 5
+        assert threading.active_count() == threads
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not (tmp_path / "new").exists()
 
 
 class TestOracleCommand:
