@@ -16,11 +16,13 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import mmap
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -39,6 +41,10 @@ _IO_VERSION = 1
 _IO_HEADER = struct.Struct("<4sIQ")  # magic, version, length
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+# numbers each ``_replacing_writer``'s temporary file, so two writes of one
+# target, even on one thread, never share one
+_TMP_NUMBERS = itertools.count()
 
 # held while ``nearest_row`` fetches or builds a cache's transposed copy, so
 # threads sharing one cache build it once, not once each
@@ -627,7 +633,7 @@ def _replacing_writer(path: str | Path, size: int):
     while not parent.exists():
         made.append(parent)
         parent = parent.parent
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_NUMBERS)}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
@@ -649,24 +655,29 @@ def _replacing_writer(path: str | Path, size: int):
         raise
 
 
-def _write_blocks(path: str | Path, size: int, header: bytes, *blocks: tuple) -> None:
+def _write_parts(fh, header: bytes, blocks: Iterable[tuple]) -> None:
     """``header`` (all of a text artifact), then each ``(values, dtype)``
     block's items in C order, stored as ``dtype``; ``values`` is an array or
     an iterable of array chunks.  An array or chunk already of that dtype
     goes out from its own buffer in one call; others are converted
-    ``_WRITE_CHUNK`` items at a time: no full-length converted copy.
+    ``_WRITE_CHUNK`` items at a time: no full-length converted copy."""
+    fh.write(header)
+    for values, dtype in blocks:
+        for part in (values,) if isinstance(values, np.ndarray) else values:
+            if part.dtype == dtype:  # the array's own buffer: no bytes copy
+                fh.write(np.ascontiguousarray(part).data)
+            else:
+                flat = np.ravel(part)
+                for lo in range(0, flat.size, _WRITE_CHUNK):
+                    fh.write(flat[lo : lo + _WRITE_CHUNK].astype(dtype).data)
+
+
+def _write_blocks(path: str | Path, size: int, header: bytes, *blocks: tuple) -> None:
+    """``_write_parts`` into ``path`` through a ``_replacing_writer``.
     ``size`` is the file's length by its format's rule (``_cache_size``,
     ``_array_size``), which the writer reserves and then checks."""
     with _replacing_writer(path, size) as fh:
-        fh.write(header)
-        for values, dtype in blocks:
-            for part in (values,) if isinstance(values, np.ndarray) else values:
-                if part.dtype == dtype:  # the array's own buffer: no bytes copy
-                    fh.write(np.ascontiguousarray(part).data)
-                else:
-                    flat = np.ravel(part)
-                    for lo in range(0, flat.size, _WRITE_CHUNK):
-                        fh.write(flat[lo : lo + _WRITE_CHUNK].astype(dtype).data)
+        _write_parts(fh, header, blocks)
 
 
 def _write_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
@@ -766,14 +777,18 @@ def save_cache(cache: AccuracyCache, path: str | Path) -> None:
     _write_blocks(path, size, header, *blocks)
 
 
-def _grown_chunks(block: np.ndarray, width: int) -> Iterable[np.ndarray]:
+def _grown_chunks(
+    block: np.ndarray, width: int, stop: threading.Event
+) -> Iterable[np.ndarray]:
     """The rows of ``block`` widened to ``width`` items, the new ones zero,
     as one reused buffer of at most ``_CHUNK_BYTES``, or one row, refilled
-    for each band of rows (``_bands``)."""
+    for each band of rows (``_bands``); none once ``stop`` is set."""
     buf = np.empty((0, width), dtype=block.dtype)
     old = block.shape[1]
     # bands of rows whose copies, grown to ``width`` items, fit in _CHUNK_BYTES
     for _, rows in _bands(block, _CHUNK_BYTES * old // width):
+        if stop.is_set():
+            return
         if len(buf) < len(rows):  # the first band, the largest
             buf = np.empty((len(rows), width), dtype=block.dtype)
         out = buf[: len(rows)]
@@ -819,42 +834,32 @@ def _appending_writer(cache: AccuracyCache, path: str | Path):
 
     Entering is ``_replacing_writer``'s: the parents are checked and made
     and the whole file is reserved, so a blocked target or a full disk
-    fails here.  Then one thread writes the header, the grown rows and any
-    grown confidences (``_grown_chunks``), with the new column zero.
-    ``put`` checks the column, waits for that thread, and writes the
+    fails here.  Then a one-worker executor writes the header, the grown
+    rows and any grown confidences (``_grown_chunks``) with the one write
+    loop, ``_write_parts``, the new column zero.  ``put`` checks the
+    column, waits for that write, raising what it raised, and writes the
     column into the temporary file an item per row (``os.pwrite``; a
     shared map would make the file's pages resident) by the one rule for
     a new column: bit ``n % 8`` of byte ``n // 8`` of each row, and item
     ``n`` of each confidence row.  The file replaces ``path`` only after
-    ``put``.  If the body fails first, the thread stops between chunks
-    and is joined, and the temporary file and the parents made for it are
-    removed.  ``path`` may be the file ``cache`` was loaded from.
+    ``put``.  If the body fails first, the rows stop between chunks, the
+    worker is joined, and the temporary file and the parents made for it
+    are removed.  ``path`` may be the file ``cache`` was loaded from.
     """
     m, n = cache.num_models, cache.num_samples
     header, size = _cache_header(cache, n + 1)
     rb = _row_bytes(n + 1)
-    blocks = [(_grown_chunks(cache.bits, rb), "u1")]
+    stop, done = threading.Event(), []
+    blocks = [(_grown_chunks(cache.bits, rb, stop), "u1")]
     if cache.confidence is not None:
-        blocks.append((_grown_chunks(cache.confidence, n + 1), "<f4"))
-    stop, failed, done = threading.Event(), [], []
-    with _replacing_writer(path, size) as fh:
-
-        def write() -> None:
-            try:
-                fh.write(header)
-                for chunks, dtype in blocks:
-                    for chunk in chunks:
-                        if stop.is_set():
-                            return
-                        fh.write(chunk.astype(dtype, copy=False).data)
-            except Exception as exc:  # raised by ``put``
-                failed.append(exc)
+        blocks.append((_grown_chunks(cache.confidence, n + 1, stop), "<f4"))
+    with (_replacing_writer(path, size) as fh,
+          ThreadPoolExecutor(1, thread_name_prefix="lleval-append-out") as pool):
+        written = pool.submit(_write_parts, fh, header, blocks)
 
         def put(col: np.ndarray, confidence_col: np.ndarray | None = None) -> None:
             col, confidence_col = _new_column(cache, col, confidence_col)
-            thread.join()
-            if failed:
-                raise failed[0]
+            written.result()
             fh.flush()  # bytes still buffered would land over the column
             # byte n // 8 of each grown row: the input's last byte, or a new one
             tail = np.zeros(m, np.uint8)
@@ -868,13 +873,10 @@ def _appending_writer(cache: AccuracyCache, path: str | Path):
                 _pwrite_column(fh.fileno(), start, 4 * (n + 1), confidence_col.astype("<f4"))
             done.append(True)
 
-        thread = threading.Thread(target=write, name="lleval-append-out")
-        thread.start()
         try:
             yield put
         finally:
             stop.set()
-            thread.join()
         if not done:
             raise RuntimeError(f"no new column was put into {path}")
 

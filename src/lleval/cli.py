@@ -172,13 +172,23 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
 def _cmd_insert_sample(args: argparse.Namespace) -> int:
     if args.seed < 0:  # at either strategy, before any oracle query
         raise ValueError(f"--seed must be non-negative, not {args.seed}")
+    # two writes of one file: the later rename would drop the report
+    if args.report and args.append_out and (
+        Path(args.report).resolve() == Path(args.append_out).resolve()
+    ):
+        raise ValueError(
+            f"--report {args.report} is the --append-out file; "
+            "give the report another path"
+        )
     cache = load_cache(args.cache)
     if cache.num_models == 0:
         raise ValueError("cache has no models to rank")
+    budget = args.budget
+    if not 1 <= budget <= cache.num_models:  # before the grown file is reserved
+        raise ValueError(f"budget {budget} outside [1, {cache.num_models}]")
     model_sort = sort_models_by_sum(cache)
     strategy = SamplingStrategy(args.strategy)
     _check_parents(args.report, args.append_out)
-    budget = args.budget
     if args.outcomes is not None:
         outcomes = _read_outcomes(args.outcomes, cache.num_models, "outcomes")
         oracle = outcomes.__getitem__

@@ -1,4 +1,5 @@
-"""A child process's own peak RSS, shared by ``tests/`` and ``ci/``.
+"""A child process's own peak RSS, and a traced block's Python memory,
+shared by ``tests/`` and ``ci/``.
 
 Inside pytest, ``RUSAGE_CHILDREN`` counts every earlier child, and Linux
 carries a peak RSS across fork and exec, so a child forked straight from the
@@ -9,10 +10,12 @@ the measured child from a bare interpreter, and the child reads its own
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
-from collections.abc import Iterator
+import tracemalloc
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import lleval
@@ -37,3 +40,18 @@ def run_child(child: str, arg: str | Path) -> Iterator[int]:
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return map(int, proc.stdout.splitlines()[-1].split())
+
+
+@contextlib.contextmanager
+def traced() -> Iterator[Callable[[], tuple[int, int]]]:
+    """Trace Python's allocations while the ``with`` body runs, and yield a
+    function returning the bytes held now and the most held at once, each
+    less the bytes held on entry.  Tracing stops when the body ends, also
+    when it raises, so a failed measurement leaves no later test traced."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        yield lambda: tuple(size - before for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()

@@ -8,12 +8,12 @@ quality spectrum).
 """
 
 import time
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from _child import traced
 from _oracles import best_threshold_errors_batch
 from lleval import (
     AccuracyCache,
@@ -306,15 +306,11 @@ def test_criterion_9_performance_and_memory():
     m, n = 500, 1_700_000
     rng = np.random.default_rng(99)
     cache = AccuracyCache(m, n, rng.integers(0, 256, size=(m, n // 8), dtype=np.uint8))
-    tracemalloc.start()
-    before = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    t0 = time.perf_counter()
-    result = sort_by_sum(cache)
-    elapsed = time.perf_counter() - t0
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    extra = peak - before
+    with traced() as memory:
+        t0 = time.perf_counter()
+        result = sort_by_sum(cache)
+        elapsed = time.perf_counter() - t0
+        _, extra = memory()
     # two 8-byte length-n arrays (totals + order) plus constant-size scratch
     budget = 2 * 8 * n + (8 << 20)
     _verdict(

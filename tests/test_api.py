@@ -1,8 +1,8 @@
 """The README's Library table lists the whole public API, and nothing else,
 and its Command line section names every option; the package's modules
 import only what they use, the ranking and search layers depend on the
-cache alone, one walker reads a cache's bands, and one writer makes
-directories."""
+cache alone, one walker reads a cache's bands, one writer makes
+directories, and every worker thread is an executor's."""
 
 import argparse
 import ast
@@ -125,3 +125,15 @@ def test_only_the_replacing_writer_makes_directories():
         or (isinstance(node, ast.Name) and node.id in ("mkdir", "makedirs"))
     }
     assert makers == {("cache.py", "_replacing_writer")}
+
+
+def test_no_module_starts_its_own_thread():
+    """Every worker thread is an executor's: no module names
+    ``threading.Thread``, so each is joined by its executor's ``with``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = [node for node in ast.walk(tree)
+                 if (isinstance(node, ast.Attribute) and node.attr == "Thread")
+                 or (isinstance(node, ast.Name) and node.id == "Thread")
+                 or (isinstance(node, ast.alias) and node.name == "Thread")]
+        assert not named, f"{path.name} names threading.Thread"

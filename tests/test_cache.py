@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _child import traced
 from _oracles import append_column
 from lleval import (
     AccuracyCache,
@@ -114,18 +115,11 @@ class TestConstruction:
                 AccuracyCache.from_dense(np.zeros(shape, bool))
 
     def test_from_dense_converts_one_row_at_a_time(self):
-        import tracemalloc
-
         m, n = 64, 100_000
         dense = (np.random.default_rng(14).random((m, n)) < 0.5).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
+        with traced() as memory:
             cache = AccuracyCache.from_dense(dense)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+            _, peak = memory()
         # the packed bits and one row's 0/1 checks and bools, not an m x n
         # bool copy of the matrix
         assert peak <= m * n // 8 + 4 * n
@@ -414,8 +408,6 @@ class TestNearestRow:
     def test_threads_sharing_a_cache_build_one_copy(self):
         # two threads miss the transposed copy together: one builds it, the
         # other waits for it; two builds would hold twice its bytes at once
-        import tracemalloc
-
         m, n = 64, 1 << 21
         cache = AccuracyCache(m, n, np.zeros((m, n // 8), dtype=np.uint8))
         cols = np.arange(0, n, 4099)
@@ -428,18 +420,13 @@ class TestNearestRow:
             answers.append(cache.nearest_row(cols, values))
 
         threads = [threading.Thread(target=work) for _ in range(2)]
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
+        with traced() as memory:
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+            _, peak = memory()
         assert answers == [0, 0]
         assert peak < 2 * cache._byte_columns.nbytes
 
@@ -525,22 +512,17 @@ class TestColumnSums:
         assert sums.tobytes() == conf.sum(axis=0, dtype=np.float64).tobytes()
 
     def test_scratch_memory_is_one_array(self):
-        import tracemalloc
-
         n = 200_000
         rng = np.random.default_rng(0)
         cache = AccuracyCache(
             8, n, rng.integers(0, 256, size=(8, n // 8), dtype=np.uint8)
         )
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        sums = cache.column_sums()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            sums = cache.column_sums()
+            _, peak = memory()
         assert sums.size == n
         # accumulator plus one transient unpacked row, nothing bigger
-        assert peak - before <= 8 * n + (1 << 20)
+        assert peak <= 8 * n + (1 << 20)
 
     @pytest.mark.parametrize("m", [0, 1, 254, 255, 256, 510, 511])
     def test_all_ones_rows_pass_the_uint8_wrap(self, m):
@@ -582,18 +564,13 @@ class TestColumnSums:
         assert np.array_equal(mapped.column_sums(), column_sums_ref(cache.bits, n))
 
     def test_scratch_beyond_result_is_one_tile(self):
-        import tracemalloc
-
         n = 5 * 8 * _TILE_BYTES + 3
         cache = packed_cache(4, n, seed=18)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        sums = cache.column_sums()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            sums = cache.column_sums()
+            _, peak = memory()
         # the int32 result, then a tile's counter and unpacked row
-        assert peak - before <= 4 * n + (2 << 20)
+        assert peak <= 4 * n + (2 << 20)
         assert np.array_equal(sums, column_sums_ref(cache.bits, n))
 
     @pytest.mark.parametrize(
@@ -830,8 +807,6 @@ class TestPersistence:
             load_cache(path)
 
     def test_load_maps_without_copy(self, tmp_path):
-        import tracemalloc
-
         m, n = 64, 1_000_003  # about 8 MB; the ragged last byte checks padding
         rng = np.random.default_rng(14)
         bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
@@ -839,13 +814,10 @@ class TestPersistence:
         cache = AccuracyCache(m, n, bits)
         path = tmp_path / "cache.llbc"
         save_cache(cache, path)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        loaded = load_cache(path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak - before < 1 << 20
+        with traced() as memory:
+            loaded = load_cache(path)
+            _, peak = memory()
+        assert peak < 1 << 20
         assert not loaded.bits.flags.writeable
         assert loaded == cache
 
@@ -924,37 +896,27 @@ class TestPersistence:
         assert loaded == first
 
     def test_save_writes_without_copy(self, tmp_path):
-        import tracemalloc
-
         m, n = 64, 1_000_003  # about 8 MB of packed bits
         rng = np.random.default_rng(15)
         bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
         bits[:, -1] &= 0x07
         cache = AccuracyCache(m, n, bits)
         path = tmp_path / "cache.llbc"
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        save_cache(cache, path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak - before < 1 << 20
+        with traced() as memory:
+            save_cache(cache, path)
+            _, peak = memory()
+        assert peak < 1 << 20
         assert load_cache(path) == cache
 
     def test_save_with_confidence_writes_without_copy(self, tmp_path):
-        import tracemalloc
-
         m, n = 4, 500_003  # about 8 MB of float32 confidences
         conf = np.random.default_rng(19).random((m, n), dtype=np.float32)
         cache = AccuracyCache.from_dense(conf >= 0.5, conf)
         path = tmp_path / "cache.llbc"
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        save_cache(cache, path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak - before < 1 << 20
+        with traced() as memory:
+            save_cache(cache, path)
+            _, peak = memory()
+        assert peak < 1 << 20
         assert load_cache(path) == cache
 
     def test_blocks_written_as_tobytes(self, tmp_path):
@@ -987,8 +949,6 @@ class TestPersistence:
     def test_loader_reads_payload_once(self, tmp_path, kind):
         """The payload array is the only length-n allocation, plus the
         permutation check's one byte per item."""
-        import tracemalloc
-
         n = 1 << 20
         order = np.random.default_rng(20).permutation(n).astype(np.int32)
         path = tmp_path / f"rank.{kind}"
@@ -998,13 +958,10 @@ class TestPersistence:
         else:
             save_sums(order, path)
             load, per_item = load_sums, 8
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        loaded = load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak - before <= per_item * n + (1 << 20)
+        with traced() as memory:
+            loaded = load(path)
+            _, peak = memory()
+        assert peak <= per_item * n + (1 << 20)
         if kind == "permutation":
             assert np.array_equal(loaded.order, order)
         else:
@@ -1129,6 +1086,18 @@ class TestPersistence:
                 raise RuntimeError("body failed")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "kept", "old"]
 
+    def test_nested_writes_of_one_target_do_not_share_a_file(self, tmp_path):
+        """Two writers of one path open at once on one thread each write
+        their own temporary file: the later rename wins, whole."""
+        path = tmp_path / "out.bin"
+        with _replacing_writer(path, 6) as outer:
+            outer.write(b"outer!")
+            with _replacing_writer(path, 5) as inner:
+                inner.write(b"inner")
+            assert path.read_bytes() == b"inner"
+        assert path.read_bytes() == b"outer!"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
     def test_abandoned_write_removes_the_directories_it_made(self, tmp_path):
         path = tmp_path / "a" / "b" / "out.bin"
         writer = _replacing_writer.__wrapped__(path, 4)
@@ -1148,8 +1117,8 @@ class TestPersistence:
         monkeypatch.setattr(lleval.cache, "_CHUNK_BYTES", 1)  # a row per chunk
         real, yielded = lleval.cache._grown_chunks, []
 
-        def slow(block, width):
-            for chunk in real(block, width):
+        def slow(block, width, stop):
+            for chunk in real(block, width, stop):
                 yielded.append(len(chunk))
                 time.sleep(0.005)
                 yield chunk
@@ -1277,8 +1246,6 @@ class TestCsvImport:
     def test_streams_the_file(self, tmp_path):
         """A 20 MB CSV is read a line at a time: neither its text nor its
         line list is ever held whole."""
-        import tracemalloc
-
         m, n = 100, 100_000
         dense = np.random.default_rng(21).random((m, n)) < 0.5
         text = np.full((m, 2 * n), ord(","), dtype=np.uint8)
@@ -1287,13 +1254,10 @@ class TestCsvImport:
         path = tmp_path / "m.csv"
         path.write_bytes(text.tobytes())
         del text
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        cache = import_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak - before < 8 << 20
+        with traced() as memory:
+            cache = import_csv(path)
+            _, peak = memory()
+        assert peak < 8 << 20
         assert cache == AccuracyCache.from_dense(dense)
 
 

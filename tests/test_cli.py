@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from _child import PEAK, run_child
+from _child import PEAK, run_child, traced
 from _oracles import append_column
 from lleval import (
     AccuracyCache,
@@ -130,23 +130,18 @@ class TestSort:
 
 
     def test_paper_scale_sort_keeps_two_arrays(self, tmp_path, capsys):
-        import tracemalloc
-
         m, n = 500, 1_700_000
         rng = np.random.default_rng(21)
         bits = rng.integers(0, 256, size=(m, n // 8), dtype=np.uint8)
         cache_path, out = tmp_path / "paper.llbc", tmp_path / "paper.llpm"
         save_cache(AccuracyCache(m, n, bits), cache_path)
         del bits
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        rc = main(["sort", "--cache", str(cache_path), "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            rc = main(["sort", "--cache", str(cache_path), "--out", str(out)])
+            _, peak = memory()
         assert rc == 0
         # int32 totals and an int32 order; the memory-mapped cache is untraced
-        assert peak - before <= 8 * n + (4 << 20)
+        assert peak <= 8 * n + (4 << 20)
         from lleval import load_permutation, load_sums
 
         sums = load_sums(out.with_suffix(".llsm"))
@@ -344,8 +339,6 @@ class TestEvalModel:
         int64 order (8n) and, while the truth file is read, its bytes and
         masks (about 6n).  Not the float64 totals sidecar (8n more), which
         it never reads."""
-        import tracemalloc
-
         from lleval import Permutation, save_permutation
 
         n = 1_700_000
@@ -354,16 +347,13 @@ class TestEvalModel:
         save_permutation(Permutation(rng.permutation(n)), perm_path)
         save_sums(np.zeros(n), perm_path.with_suffix(".llsm"))
         truth_path.write_bytes(np.where(rng.random(n) < 0.5, b"1\n", b"0\n").tobytes())
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        rc = main(["eval-model", "--perm", str(perm_path), "--truth", str(truth_path),
-                   "--out", str(tmp_path / "eval")])
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            rc = main(["eval-model", "--perm", str(perm_path), "--truth", str(truth_path),
+                       "--out", str(tmp_path / "eval")])
+            _, peak = memory()
         assert rc == 0
         assert len(list((tmp_path / "eval").glob("report_*.json"))) == 13
-        assert peak - before <= 16 * n + (4 << 20)
+        assert peak <= 16 * n + (4 << 20)
 
     @pytest.mark.parametrize("command", ["eval-model", "simulate"])
     @pytest.mark.parametrize("token", ["x", "8.5"])
@@ -592,8 +582,6 @@ class TestInsertSample:
     def test_append_out_memory_is_one_chunk(self, tmp_path):
         """Ranking the models of a 16.8 MB cache and writing it grown hold
         one chunk and length-m arrays, never the cache."""
-        import tracemalloc
-
         from lleval.cache import _CHUNK_BYTES
 
         m, n = 128, 1_048_579
@@ -610,16 +598,13 @@ class TestInsertSample:
                 "--outcomes", str(outcomes_path), "--budget", "16",
                 "--report", str(tmp_path / "r.json"),
                 "--append-out", str(tmp_path / "grown.llbc")]
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        rc = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            rc = main(argv)
+            _, peak = memory()
         assert rc == 0
         assert load_cache(tmp_path / "grown.llbc").num_samples == n + 1
         # one chunk at a time; the cache is 16.8 MB
-        assert peak - before <= 1024 * m + _CHUNK_BYTES + (1 << 20)
+        assert peak <= 1024 * m + _CHUNK_BYTES + (1 << 20)
 
     def test_append_to_confidence_cache(self, tmp_path):
         rng = np.random.default_rng(91)
@@ -760,6 +745,47 @@ class TestAppendWhileAsking:
         assert rc == 1
         assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         assert log.read_text() == ""
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not (tmp_path / "new").exists() and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
+    def test_report_onto_the_append_out_file_is_refused(
+        self, small_setup, monkeypatch, capsys, spelling
+    ):
+        """Two writes of one file: refused before the cache is read."""
+        tmp_path, dense, cache_path, perm_path = small_setup
+        log, oracle = self._oracle(tmp_path, np.ones(12, dtype=bool))
+        loaded = []
+        monkeypatch.setattr(cli, "load_cache", loaded.append)
+        report_path = tmp_path / "P"
+        capsys.readouterr()
+        assert main(["insert-sample", "--cache", str(cache_path), "--oracle-cmd", oracle,
+                     "--budget", "8", "--report", str(report_path),
+                     "--append-out", str(tmp_path / spelling)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --report {report_path} is the --append-out file")
+        assert err.count("\n") == 1
+        assert loaded == [] and log.read_text() == ""
+        assert not report_path.exists() and not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("budget", [0, 13])
+    def test_budget_is_checked_before_the_file_is_reserved(
+        self, small_setup, monkeypatch, capsys, budget
+    ):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        log, oracle = self._oracle(tmp_path, np.ones(12, dtype=bool))
+        grown_path = tmp_path / "new" / "g.llbc"
+        reserved = []
+        monkeypatch.setattr(os, "posix_fallocate", lambda *args: reserved.append(args),
+                            raising=False)
+        capsys.readouterr()
+        rc = main(["insert-sample", "--cache", str(cache_path), "--oracle-cmd", oracle,
+                   "--budget", str(budget), "--report", str(tmp_path / "r.json"),
+                   "--append-out", str(grown_path)])
+        monkeypatch.undo()
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: budget {budget} outside [1, 12]\n"
+        assert reserved == [] and log.read_text() == ""
         assert not list(tmp_path.rglob("*.tmp"))
         assert not (tmp_path / "new").exists() and not (tmp_path / "r.json").exists()
 

@@ -3,13 +3,13 @@
 import gc
 import sys
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from _child import traced
 from _oracles import best_threshold_error, hamming_fraction, threshold_error
 from lleval import (
     ErrorReport,
@@ -318,13 +318,9 @@ class TestRankedTruthReuse:
         # frees nothing the memo held before
         tiny = Permutation(np.zeros(1, dtype=np.int64))
         error_decomposition(np.ones(1, dtype=bool), ThresholdVector(1, 1), tiny)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced() as memory:
             report = error_decomposition(truth, ThresholdVector(n, n // 3), perm)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+            retained, _ = memory()
         assert report == fresh_report(truth, perm.order, n // 3)
         assert retained <= n / 4 + (64 << 10), retained
         ref = weakref.ref(perm)

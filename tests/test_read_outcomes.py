@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _child import traced
 from lleval.cache import _read_outcomes
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -94,20 +95,15 @@ def test_tokens_across_a_chunk_edge(tmp_path):
 
 @pytest.mark.parametrize("sep", [" ", ", "])
 def test_peak_memory_is_under_two_bytes_per_file_byte(tmp_path, sep):
-    import tracemalloc
-
     n = 1_000_000
     row = np.random.default_rng(19).random(n) < 0.5
     path = tmp_path / "truth.txt"
     path.write_text(sep.join("1" if hit else "0" for hit in row) + "\n")
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    got = _read_outcomes(path, n, "truth")
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    with traced() as memory:
+        got = _read_outcomes(path, n, "truth")
+        _, peak = memory()
     assert np.array_equal(got, row)
     # the file's bytes, then one outcome per two of them: 1.7x (", ") and
     # 1.8x (" ") the file.  A full-length digit mask and the gathered digits
     # peaked at 2.7x and 3.0x, the token-list reader at 6.3x and 9.5x
-    assert peak - before <= 2 * path.stat().st_size
+    assert peak <= 2 * path.stat().st_size

@@ -1,10 +1,10 @@
 """Position selection, DP threshold optimality, extrapolation, evaluation flows."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from _child import traced
 from _oracles import best_threshold_error, threshold_error
 from lleval import (
     AccuracyCache,
@@ -174,14 +174,11 @@ class TestDpSearch:
         n = 1 << 21
         rng = np.random.default_rng(65)
         bits = np.sort(rng.random(n) < 0.5)[::-1] ^ (rng.random(n) < 0.1)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        tv = dp_search(bits)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            tv = dp_search(bits)
+            _, peak = memory()
         assert tv.k == cumsum_dp_search(bits)
-        assert peak - before < 2 * n
+        assert peak < 2 * n
 
     def test_complement_reverse_symmetry(self):
         rng = np.random.default_rng(61)

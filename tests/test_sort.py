@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _child import traced
 from lleval import (
     AccuracyCache,
     FormatError,
@@ -61,23 +62,18 @@ class TestSortBySum:
             )
 
     def test_peak_is_order_totals_and_keys(self):
-        import tracemalloc
-
         m, n = 6, 4 * 8 * _TILE_BYTES + 3
         rng = np.random.default_rng(25)
         bits = rng.integers(0, 256, size=(m, (n + 7) // 8), dtype=np.uint8)
         bits[:, -1] &= (1 << n % 8) - 1
         cache = AccuracyCache(m, n, bits)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = sort_by_sum(cache)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            result = sort_by_sum(cache)
+            _, peak = memory()
         assert np.all(np.diff(result.sums) <= 0)
         # int32 totals and the uint32 words that become the order, plus one
         # chunk of keys; no totals[order] copy
-        assert peak - before <= 8 * n + (1 << 20)
+        assert peak <= 8 * n + (1 << 20)
 
     def test_fresh_order_is_int32_and_not_checked_again(self, monkeypatch):
         cache = cache_with_column_sums([1, 3, 0, 3, 2])
@@ -110,21 +106,16 @@ class TestSortModelsBySum:
         assert np.array_equal(result.sums, [0, 0, 0, 0])
 
     def test_scratch_memory_is_one_chunk(self):
-        import tracemalloc
-
         m, n = 500, 400_000
         rng = np.random.default_rng(24)
         bits = rng.integers(0, 256, size=(m, n // 8), dtype=np.uint8)
         cache = AccuracyCache(m, n, bits)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = sort_models_by_sum(cache)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced() as memory:
+            result = sort_models_by_sum(cache)
+            _, peak = memory()
         assert len(result.permutation) == m
         # one chunk of popcounts plus length-m arrays; an m x n array is 200 MB
-        assert peak - before <= _CHUNK_BYTES + (1 << 20)
+        assert peak <= _CHUNK_BYTES + (1 << 20)
 
 
 class TestSortByConfidenceSum:
@@ -209,37 +200,27 @@ class TestSortPersistence:
             load_permutation(path)
 
     def test_permutation_written_without_copy(self, tmp_path):
-        import tracemalloc
-
         n = 1 << 20  # an 8 MB int64 order
         order = np.random.default_rng(17).permutation(n)
         perm = Permutation(order)
         path = tmp_path / "p.llpm"
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        save_permutation(perm, path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak - before < 1 << 20
+        with traced() as memory:
+            save_permutation(perm, path)
+            _, peak = memory()
+        assert peak < 1 << 20
         # the stored payload is the uint64 order, as before
         assert path.read_bytes()[-8 * n:] == order.astype("<u8").tobytes()
         assert np.array_equal(load_permutation(path).order, order)
 
     def test_int32_order_stored_as_uint64(self, tmp_path):
-        import tracemalloc
-
         n = 1 << 20  # its 8 MB uint64 payload is written a chunk at a time
         order = np.random.default_rng(18).permutation(n).astype(np.int32)
         path = tmp_path / "p.llpm"
         perm = Permutation(order)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        save_permutation(perm, path)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak - before < 1 << 20
+        with traced() as memory:
+            save_permutation(perm, path)
+            _, peak = memory()
+        assert peak < 1 << 20
         assert path.read_bytes()[-8 * n:] == order.astype("<u8").tobytes()
 
     @pytest.mark.parametrize(

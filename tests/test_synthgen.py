@@ -3,13 +3,13 @@
 import hashlib
 import json
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
 
+from _child import traced
 from lleval import (
     SynthSpec,
     generate,
@@ -113,14 +113,9 @@ class TestGenerate:
         m, n = 300, 100_000
         spec = SynthSpec(m, n, temperature=0.2, noise=0.05, seed=13)
         generate(SynthSpec(2, 16))  # lazy imports and first-call set-up
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
+        with traced() as memory:
             cache, _, _ = generate(spec)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+            _, peak = memory()
         # rows are packed into one preallocated array, never gathered first
         # and copied; a row in flight holds the difficulties and its temporaries
         assert peak <= m * n // 8 + 4 * 8 * n
@@ -133,14 +128,9 @@ class TestGenerate:
         spec = SynthSpec(m, n, temperature=0.2, noise=0.05, seed=13)
         with ThreadPoolExecutor(4) as pool:
             generate(SynthSpec(8, 16), map=pool.map)  # starts the four workers
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
+            with traced() as memory:
                 generate(spec, map=pool.map)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+                _, peak = memory()
         # no drawn row waits to be packed: beyond the packed bits, the
         # difficulties and each worker's row in flight (82 B per sample
         # measured), and the pool's futures; m rows gathered first take m*n
