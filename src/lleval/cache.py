@@ -50,8 +50,8 @@ _TMP_NUMBERS = itertools.count()
 # threads sharing one cache build it once, not once each
 _BYTE_COLUMNS_LOCK = threading.Lock()
 
-# bytes of a band of rows copied to scratch at once: popcounted by
-# ``row_sums``, or grown by ``_grown_chunks``
+# bytes of a band of rows grown at once by ``_grown_chunks``: for the grown
+# cache, or to whole words for ``row_sums``
 _CHUNK_BYTES = 1 << 20
 # packed bytes per ``column_sums`` tile: its bit planes and carries stay in L2
 _TILE_BYTES = 1 << 16
@@ -491,24 +491,20 @@ class AccuracyCache:
     def row_sums(self) -> np.ndarray:
         """Per-row popcounts (int64).
 
-        Each band of rows (``_bands``) is copied into one reused scratch of
-        at most ``_CHUNK_BYTES`` of whole uint64 words, zero past each row's
-        bytes, and popcounted a word at a time: no m x n matrix is ever
-        built.
+        The rows are grown to whole uint64 words, zero past each row's
+        bytes, a chunk of at most ``_CHUNK_BYTES`` at a time
+        (``_grown_chunks``), and popcounted a word at a time: no m x n
+        matrix is ever built.
         """
         m, rb = self.bits.shape
-        words = -(-rb // 8)
-        scratch = np.zeros((0, words), dtype=np.uint64)
         # an int32 sum is about twice as fast as numpy's default uint64 one
         dtype = np.int32 if self.num_samples <= _INT32_MAX else np.int64
         sums = np.empty(m, dtype=np.int64)
-        # bands of rb-byte rows whose 8 * words-byte copies fit in _CHUNK_BYTES
-        for lo, band in _bands(self.bits, _CHUNK_BYTES * rb // max(1, 8 * words)):
-            k = len(band)
-            if len(scratch) < k:  # the first band, the largest
-                scratch = np.zeros((k, words), dtype=np.uint64)
-            scratch.view(np.uint8)[:k, :rb] = band
-            sums[lo : lo + k] = np.bitwise_count(scratch[:k]).sum(axis=1, dtype=dtype)
+        lo = 0
+        for chunk in _grown_chunks(self.bits, -(-rb // 8) * 8):
+            words = np.bitwise_count(chunk.view(np.uint64))
+            sums[lo : lo + len(chunk)] = words.sum(axis=1, dtype=dtype)
+            lo += len(chunk)
         return sums
 
 
@@ -598,16 +594,33 @@ class SortResult:
 # -- persistence -----------------------------------------------------------
 
 
-def _check_parents(*paths: str | Path | None) -> None:
-    """The one rule for a target's parent: one error naming the regular file
-    in its way, if there is one.  Makes nothing, so a command that checks
-    its targets early and fails later leaves no directory behind."""
-    for path in paths:
-        if path:
-            parent = Path(path).parent
-            found = next(p for p in (parent, *parent.parents) if p.exists())
-            if not found.is_dir():
-                raise NotADirectoryError(f"{found} is not a directory")
+def _home(path: Path) -> Path:
+    """The nearest existing directory above ``path``, or one error naming
+    the regular file in the way."""
+    found = next(p for p in path.parents if p.exists())
+    if not found.is_dir():
+        raise NotADirectoryError(f"{found} is not a directory")
+    return found
+
+
+def _check_targets(targets: list[tuple], inputs: list[tuple]) -> None:
+    """The one rule for a command's targets, checked before it reads any
+    input: each (flag, path) target's parent is a directory or can be made
+    (``_home``), and none resolves to an input or an earlier target, which
+    its write would replace.  Pairs whose path is None are skipped; a target
+    named ``"<flag>'s <file>"`` is one that ``<flag>`` implies.  Makes nothing."""
+    seen = {Path(path).resolve(): name for name, path in inputs if path}
+    for name, path in targets:
+        if not path:
+            continue
+        _home(Path(path))
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            other = seen[resolved]
+            own = other.removeprefix(f"{name}'s ")
+            what = f"its own {own}" if own != other else f"the {other} file"
+            raise ValueError(f"{name} {path} is {what}; give it another path")
+        seen[resolved] = name
 
 
 @contextlib.contextmanager
@@ -616,26 +629,19 @@ def _replacing_writer(path: str | Path, size: int):
     ``size`` bytes are written to it, so a failed or short write keeps the
     old file and mapped readers never see it shrink.
 
-    Applies ``_check_parents`` first, so a blocked parent fails there,
-    naming it, and not at the hidden temporary file; then makes the missing
-    parents, the only place any is made.  A write that fails, or is
-    abandoned, removes the temporary file and then the parents it made,
-    deepest first, each only if it is empty.  The temporary file's ``size``
-    bytes are reserved before the first write (``os.posix_fallocate``,
-    where there is one): the file system allocates its blocks at once,
-    not a page at a time, and a full disk fails before any data is
-    written.  A file system that cannot reserve space is written as is.
+    The temporary file goes in the target's nearest existing directory
+    (``_home``, so a blocked parent fails there, naming it), and the missing
+    parents are made only once the file is whole, just before the rename:
+    a write that fails, or is abandoned, removes the temporary file and has
+    made nothing else.  The temporary file's ``size`` bytes are reserved
+    before the first write (``os.posix_fallocate``, where there is one):
+    the file system allocates its blocks at once, not a page at a time,
+    and a full disk fails before any data is written.  A file system that
+    cannot reserve space is written as is.
     """
     path = Path(path)
-    _check_parents(path)
-    made = []  # the missing parents, deepest first
-    parent = path.parent
-    while not parent.exists():
-        made.append(parent)
-        parent = parent.parent
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_NUMBERS)}.tmp")
+    tmp = _home(path) / f".{path.name}.{os.getpid()}.{next(_TMP_NUMBERS)}.tmp"
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:
             if size and hasattr(os, "posix_fallocate"):
                 try:
@@ -646,12 +652,10 @@ def _replacing_writer(path: str | Path, size: int):
             yield fh
             if fh.tell() != size:
                 raise RuntimeError(f"{fh.tell()} bytes written to {path}, expected {size}")
+        path.parent.mkdir(parents=True, exist_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
-        for directory in made:
-            with contextlib.suppress(OSError):  # not empty, or never made
-                directory.rmdir()
         raise
 
 
@@ -778,16 +782,17 @@ def save_cache(cache: AccuracyCache, path: str | Path) -> None:
 
 
 def _grown_chunks(
-    block: np.ndarray, width: int, stop: threading.Event
+    block: np.ndarray, width: int, stop: threading.Event | None = None
 ) -> Iterable[np.ndarray]:
     """The rows of ``block`` widened to ``width`` items, the new ones zero,
     as one reused buffer of at most ``_CHUNK_BYTES``, or one row, refilled
-    for each band of rows (``_bands``); none once ``stop`` is set."""
+    for each band of rows (``_bands``); none once ``stop``, if given, is
+    set."""
     buf = np.empty((0, width), dtype=block.dtype)
     old = block.shape[1]
     # bands of rows whose copies, grown to ``width`` items, fit in _CHUNK_BYTES
-    for _, rows in _bands(block, _CHUNK_BYTES * old // width):
-        if stop.is_set():
+    for _, rows in _bands(block, _CHUNK_BYTES * old // max(1, width)):
+        if stop is not None and stop.is_set():
             return
         if len(buf) < len(rows):  # the first band, the largest
             buf = np.empty((len(rows), width), dtype=block.dtype)
@@ -832,9 +837,8 @@ def _appending_writer(cache: AccuracyCache, path: str | Path):
     works out that sample, and yield ``put(col, confidence_col=None)``,
     which sets it.
 
-    Entering is ``_replacing_writer``'s: the parents are checked and made
-    and the whole file is reserved, so a blocked target or a full disk
-    fails here.  Then a one-worker executor writes the header, the grown
+    Entering is ``_replacing_writer``'s: the parents are checked and the
+    whole file is reserved, so a blocked target or a full disk fails here.  Then a one-worker executor writes the header, the grown
     rows and any grown confidences (``_grown_chunks``) with the one write
     loop, ``_write_parts``, the new column zero.  ``put`` checks the
     column, waits for that write, raising what it raised, and writes the
@@ -843,8 +847,8 @@ def _appending_writer(cache: AccuracyCache, path: str | Path):
     a new column: bit ``n % 8`` of byte ``n // 8`` of each row, and item
     ``n`` of each confidence row.  The file replaces ``path`` only after
     ``put``.  If the body fails first, the rows stop between chunks, the
-    worker is joined, and the temporary file and the parents made for it
-    are removed.  ``path`` may be the file ``cache`` was loaded from.
+    worker is joined, and the temporary file is removed.  ``path`` may be
+    the file ``cache`` was loaded from.
     """
     m, n = cache.num_models, cache.num_samples
     header, size = _cache_header(cache, n + 1)

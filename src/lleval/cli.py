@@ -23,7 +23,7 @@ import numpy as np
 from .baseline import copy_nearest_expand_from_truth
 from .cache import (
     _appending_writer,
-    _check_parents,
+    _check_targets,
     _read_json,
     _read_outcomes,
     _write_json,
@@ -112,7 +112,7 @@ def _derived_seed(seed: int, *parts: int) -> int:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
-    _check_parents(args.out)  # fail before the CSV is read
+    _check_targets([("--out", args.out)], [("--csv", args.csv)])
     cache = import_csv(args.csv, has_confidence=args.confidence)
     save_cache(cache, args.out)
     print(f"wrote {cache.num_models}x{cache.num_samples} cache to {args.out}")
@@ -120,12 +120,9 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    if _sums_path(args.out) == Path(args.out):
-        raise ValueError(
-            f"--out {args.out} is its own totals sidecar; "
-            "give the permutation another suffix, such as .llpm"
-        )
-    _check_parents(args.out, _sums_path(args.out))  # fail before the cache is read
+    # the sidecar first, so --out onto it is "its own totals sidecar"
+    targets = [("--out's totals sidecar", _sums_path(args.out)), ("--out", args.out)]
+    _check_targets(targets, [("--cache", args.cache)])
     cache = load_cache(args.cache)
     rank = sort_by_sum if args.method == "sum" else sort_by_confidence_sum
     result = rank(cache)
@@ -138,6 +135,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 def _cmd_eval_model(args: argparse.Namespace) -> int:
     if args.seed < 0:  # at either strategy, before any oracle query
         raise ValueError(f"--seed must be non-negative, not {args.seed}")
+    out_dir = Path(args.out)
+    inputs = [("--perm", args.perm), ("--cache", args.cache), ("--truth", args.truth)]
+    _check_targets([("--out", out_dir / "curve.csv")], inputs)
     perm = load_permutation(args.perm)
     total = len(perm)
     if args.cache:
@@ -152,8 +152,6 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
         oracle = truth.__getitem__
     else:
         oracle = _command_oracle(args.oracle_cmd)
-    out_dir = Path(args.out)
-    _check_parents(out_dir / "curve.csv")  # fail before any oracle query
 
     reports = []
     for budget in budgets:
@@ -172,14 +170,10 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
 def _cmd_insert_sample(args: argparse.Namespace) -> int:
     if args.seed < 0:  # at either strategy, before any oracle query
         raise ValueError(f"--seed must be non-negative, not {args.seed}")
-    # two writes of one file: the later rename would drop the report
-    if args.report and args.append_out and (
-        Path(args.report).resolve() == Path(args.append_out).resolve()
-    ):
-        raise ValueError(
-            f"--report {args.report} is the --append-out file; "
-            "give the report another path"
-        )
+    # the one exemption: --append-out may grow its own --cache; its map outlives the rename
+    grows = args.append_out and Path(args.append_out).resolve() == Path(args.cache).resolve()
+    inputs = [("--cache", None if grows else args.cache), ("--outcomes", args.outcomes)]
+    _check_targets([("--append-out", args.append_out), ("--report", args.report)], inputs)
     cache = load_cache(args.cache)
     if cache.num_models == 0:
         raise ValueError("cache has no models to rank")
@@ -188,7 +182,6 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"budget {budget} outside [1, {cache.num_models}]")
     model_sort = sort_models_by_sum(cache)
     strategy = SamplingStrategy(args.strategy)
-    _check_parents(args.report, args.append_out)
     if args.outcomes is not None:
         outcomes = _read_outcomes(args.outcomes, cache.num_models, "outcomes")
         oracle = outcomes.__getitem__
@@ -262,7 +255,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets, spec.num_samples)
     strategy = SamplingStrategy(args.strategy)
     out_dir = Path(args.out)
-    _check_parents(out_dir / "curve.csv", args.save_cache)
+    files = ("curve.csv", "baseline.csv", "fit.json", "summary.json")
+    targets = [("--out", out_dir / name) for name in files]
+    _check_targets(targets + [("--save-cache", args.save_cache)], [])
     # rows, then held-out models; the pool starts a worker only when a task
     # finds none idle, so LLEVAL_THREADS past the work starts no extra thread.
     # Each worker packs the row it draws, so no drawn row waits for another
@@ -325,6 +320,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    inputs = [("--pred", args.pred), ("--truth", args.truth), ("--perm", args.perm)]
+    _check_targets([("--out", args.out)], inputs)
     pred, selection = prediction_from_dict(_read_json(args.pred))
     perm = load_permutation(args.perm)
     if len(perm) != pred.length:  # before --truth, which is read at the total

@@ -58,7 +58,8 @@ class RankedTruth:
 
     Holds the ranked row as n/8 packed bytes (``cache.pack_outcomes``): a
     mismatch count is a popcount of the first k bits, and the best cut is
-    searched over the packed bytes only when a report first needs it.
+    searched over the packed bytes once, when it is built: every caller
+    reports at least once.
     """
 
     def __init__(self, truth: np.ndarray, perm: Permutation) -> None:
@@ -66,14 +67,7 @@ class RankedTruth:
         self.size = truth.size
         self.packed = pack_outcomes(truth[perm.order])
         self.ones = prefix_ones(self.packed, self.size)
-        self._best_k: int | None = None
-
-    @property
-    def best_k(self) -> int:
-        # not functools.cached_property: before 3.12 it locks across instances
-        if self._best_k is None:
-            self._best_k = best_packed_prefix(self.packed)
-        return self._best_k
+        self.best_k = best_packed_prefix(self.packed)
 
     def mismatches(self, k: int) -> int:
         """Zeros among the first k ranks plus ones among the rest."""

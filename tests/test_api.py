@@ -127,6 +127,17 @@ def test_only_the_replacing_writer_makes_directories():
     assert makers == {("cache.py", "_replacing_writer")}
 
 
+def test_commands_check_targets_only_through_the_rule():
+    """``cli.py`` names neither ``_check_parents`` nor ``mkdir``, so a
+    command's targets are checked only by ``cache._check_targets``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert not named & {"_check_parents", "mkdir", "makedirs"}
+    assert "_check_targets" in named
+
+
 def test_no_module_starts_its_own_thread():
     """Every worker thread is an executor's: no module names
     ``threading.Thread``, so each is joined by its executor's ``with``."""

@@ -1070,9 +1070,9 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
     def test_failed_write_removes_the_directories_it_made(self, tmp_path):
-        """A body that raises leaves no temporary file and none of the
-        parents the writer made; a parent that existed, or that another
-        file landed in, stays."""
+        """A body that raises leaves no temporary file and no directory: the
+        parents are made only at the rename, and a parent that existed
+        stays."""
         (tmp_path / "old").mkdir()
         path = tmp_path / "old" / "a" / "b" / "out.bin"
         with pytest.raises(RuntimeError, match="body failed"):
@@ -1080,11 +1080,6 @@ class TestPersistence:
                 fh.write(b"ab")
                 raise RuntimeError("body failed")
         assert [p.name for p in tmp_path.rglob("*")] == ["old"]
-        with pytest.raises(RuntimeError, match="body failed"):
-            with _replacing_writer(path, 4):
-                (tmp_path / "old" / "a" / "kept").write_text("another file")
-                raise RuntimeError("body failed")
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "kept", "old"]
 
     def test_nested_writes_of_one_target_do_not_share_a_file(self, tmp_path):
         """Two writers of one path open at once on one thread each write

@@ -695,7 +695,8 @@ class TestAppendWhileAsking:
         def oracle(command):
             def ask(indices):
                 if not seen:
-                    seen.extend(p.stat().st_size for p in grown_path.parent.glob(".*.tmp"))
+                    # in tmp_path, the nearest directory that exists
+                    seen.extend(p.stat().st_size for p in tmp_path.glob(".*.tmp"))
                 return [True] * indices.size
             return ask
 
@@ -1293,6 +1294,126 @@ class TestOutputDirectories:
         assert err.startswith(f"error: --out {out} is its own totals sidecar")
         assert err.count("\n") == 1
         assert loaded == [] and not out.exists()
+
+
+
+# (case, argv with {d} for the directory of the inputs and {t} for the
+# target, the target's file name, the input it names, the target's flag, and
+# what the error calls the input)
+INSERT = ["insert-sample", "--cache", "{d}/cache.llbc", "--outcomes", "{d}/col.csv",
+          "--budget", "5"]
+METRICS = ["metrics", "--truth", "{d}/truth.csv", "--pred", "{d}/pred.json",
+           "--perm", "{d}/sorted.llpm", "--out", "{t}"]
+TARGET_ONTO_INPUT = [
+    ("sort-out-cache", ["sort", "--cache", "{d}/cache.llbc", "--out", "{t}"],
+     "cache.llbc", "cache.llbc", "--out", "the --cache file"),
+    ("sort-sidecar-cache", ["sort", "--cache", "{d}/c.llsm", "--out", "{t}"],
+     "c.llpm", "c.llsm", "--out's totals sidecar", "the --cache file"),
+    ("insert-report-cache", INSERT + ["--report", "{t}"],
+     "cache.llbc", "cache.llbc", "--report", "the --cache file"),
+    ("insert-report-outcomes", INSERT + ["--report", "{t}"],
+     "col.csv", "col.csv", "--report", "the --outcomes file"),
+    ("insert-append-out-outcomes", INSERT + ["--append-out", "{t}"],
+     "col.csv", "col.csv", "--append-out", "the --outcomes file"),
+    ("import-out-csv", ["import", "--csv", "{d}/matrix.csv", "--out", "{t}"],
+     "matrix.csv", "matrix.csv", "--out", "the --csv file"),
+    ("metrics-out-pred", METRICS, "pred.json", "pred.json", "--out", "the --pred file"),
+    ("metrics-out-truth", METRICS, "truth.csv", "truth.csv", "--out", "the --truth file"),
+    ("metrics-out-perm", METRICS, "sorted.llpm", "sorted.llpm", "--out",
+     "the --perm file"),
+]
+
+
+class TestTargetRule:
+    """No target may name an input or another target, however it is
+    spelled: one ``error:`` line before any input is read."""
+
+    @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
+    @pytest.mark.parametrize(
+        "argv, target_name, name, flag, what", [case[1:] for case in TARGET_ONTO_INPUT],
+        ids=[case[0] for case in TARGET_ONTO_INPUT],
+    )
+    def test_target_onto_an_input_is_refused(
+        self, small_setup, monkeypatch, capsys, spelling, argv, target_name, name,
+        flag, what
+    ):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        (tmp_path / "c.llsm").write_bytes(cache_path.read_bytes())
+        write_vector(tmp_path / "col.csv", np.ones(12, dtype=bool))
+        write_vector(tmp_path / "truth.csv", np.ones(60, dtype=bool))
+        (tmp_path / "pred.json").write_text('{"threshold": 3}\n')
+        loaded = []
+        for reader in ("import_csv", "load_cache", "load_permutation", "_read_json",
+                       "_read_outcomes"):
+            monkeypatch.setattr(cli, reader, lambda *a, **k: loaded.append(a))
+        target = tmp_path / spelling.replace("P", target_name)
+        before = (tmp_path / name).read_bytes()
+        capsys.readouterr()
+        assert main([a.format(d=tmp_path, t=target) for a in argv]) == 1
+        # a sidecar is the --out path with the suffix .llsm
+        shown = target.with_suffix(".llsm") if flag.endswith("sidecar") else target
+        assert capsys.readouterr().err == (
+            f"error: {flag} {shown} is {what}; give it another path\n"
+        )
+        assert loaded == []
+        assert (tmp_path / name).read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
+    def test_report_onto_the_cache_it_grows_is_refused(
+        self, small_setup, monkeypatch, capsys, spelling
+    ):
+        """``--append-out`` may grow its own ``--cache``; ``--report`` may
+        not name that file, as the grown cache would replace it."""
+        tmp_path, dense, cache_path, perm_path = small_setup
+        write_vector(tmp_path / "col.csv", np.ones(12, dtype=bool))
+        loaded = []
+        monkeypatch.setattr(cli, "load_cache", loaded.append)
+        before = cache_path.read_bytes()
+        report = str(tmp_path / spelling.replace("P", "cache.llbc"))
+        capsys.readouterr()
+        assert main(["insert-sample", "--cache", str(cache_path),
+                     "--outcomes", str(tmp_path / "col.csv"), "--budget", "5",
+                     "--append-out", str(cache_path), "--report", report]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --report {report} is the --append-out file; give it another path\n"
+        )
+        assert loaded == [] and cache_path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
+    def test_save_cache_onto_a_simulate_file_is_refused(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        import lleval.synthgen
+
+        generated = []
+        monkeypatch.setattr(lleval.synthgen, "generate", lambda *a, **k: generated.append(a))
+        out_dir = tmp_path / "sim"
+        target = out_dir / spelling.replace("P", "summary.json")
+        capsys.readouterr()
+        assert main(["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
+                     "--budgets", "8", "--out", str(out_dir),
+                     "--save-cache", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --save-cache {target} is the --out file; give it another path\n"
+        )
+        assert generated == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
+    def test_append_out_may_grow_its_own_cache(self, small_setup, spelling):
+        """The one exemption, under either spelling."""
+        tmp_path, dense, cache_path, perm_path = small_setup
+        write_vector(tmp_path / "col.csv", np.ones(12, dtype=bool))
+        target = tmp_path / spelling.replace("P", "cache.llbc")
+        assert main(["insert-sample", "--cache", str(cache_path),
+                     "--outcomes", str(tmp_path / "col.csv"), "--budget", "5",
+                     "--append-out", str(target)]) == 0
+        grown = load_cache(cache_path)
+        assert grown.num_samples == 61
+        assert np.array_equal(grown.to_dense()[:, :60], dense)
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 def _digests(out_dir):
