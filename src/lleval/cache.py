@@ -838,8 +838,9 @@ def _appending_writer(cache: AccuracyCache, path: str | Path):
     which sets it.
 
     Entering is ``_replacing_writer``'s: the parents are checked and the
-    whole file is reserved, so a blocked target or a full disk fails here.  Then a one-worker executor writes the header, the grown
-    rows and any grown confidences (``_grown_chunks``) with the one write
+    whole file is reserved, so a blocked target or a full disk fails
+    here.  Then a one-worker executor writes the header, the grown rows
+    and any grown confidences (``_grown_chunks``) with the one write
     loop, ``_write_parts``, the new column zero.  ``put`` checks the
     column, waits for that write, raising what it raised, and writes the
     column into the temporary file an item per row (``os.pwrite``; a

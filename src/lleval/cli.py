@@ -136,15 +136,18 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     if args.seed < 0:  # at either strategy, before any oracle query
         raise ValueError(f"--seed must be non-negative, not {args.seed}")
     out_dir = Path(args.out)
-    inputs = [("--perm", args.perm), ("--cache", args.cache), ("--truth", args.truth)]
-    _check_targets([("--out", out_dir / "curve.csv")], inputs)
-    perm = load_permutation(args.perm)
+    perm = load_permutation(args.perm)  # first: its length names the budgets and files
     total = len(perm)
+    budgets = _parse_budgets(args.budgets, total)
+    kinds = ("report", "prediction") if args.truth is not None else ("prediction",)
+    paths = {(kind, b): out_dir / f"{kind}_{b}.json" for b in budgets for kind in kinds}
+    curve = out_dir / "curve.csv" if args.truth is not None else None
+    inputs = [("--perm", args.perm), ("--cache", args.cache), ("--truth", args.truth)]
+    _check_targets([("--out", path) for path in [*paths.values(), curve]], inputs)
     if args.cache:
         cache = load_cache(args.cache)
         if cache.num_samples != total:
             raise ValueError("cache and permutation disagree on sample count")
-    budgets = _parse_budgets(args.budgets, total)
     strategy = SamplingStrategy(args.strategy)
     if args.truth is not None:
         truth = _read_outcomes(args.truth, total, "truth")
@@ -159,10 +162,10 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
         pred, sel = evaluate(perm, oracle, budget, strategy, seed)
         if args.truth is not None:
             reports.append(scorer.report(pred.k, budget))
-            _write_json(out_dir / f"report_{budget}.json", reports[-1].to_dict())
-        _write_json(out_dir / f"prediction_{budget}.json", prediction_to_dict(pred, sel))
+            _write_json(paths["report", budget], reports[-1].to_dict())
+        _write_json(paths["prediction", budget], prediction_to_dict(pred, sel))
     if reports:
-        write_error_curve(out_dir / "curve.csv", reports)
+        write_error_curve(curve, reports)
     print(f"evaluated {len(budgets)} budgets into {out_dir}")
     return 0
 
@@ -255,9 +258,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     budgets = _parse_budgets(args.budgets, spec.num_samples)
     strategy = SamplingStrategy(args.strategy)
     out_dir = Path(args.out)
-    files = ("curve.csv", "baseline.csv", "fit.json", "summary.json")
-    targets = [("--out", out_dir / name) for name in files]
-    _check_targets(targets + [("--save-cache", args.save_cache)], [])
+    files = [out_dir / n for n in ("curve.csv", "baseline.csv", "fit.json", "summary.json")]
+    curve, baseline, fit_path, summary_path = files
+    _check_targets([("--out", f) for f in files] + [("--save-cache", args.save_cache)], [])
     # rows, then held-out models; the pool starts a worker only when a task
     # finds none idle, so LLEVAL_THREADS past the work starts no extra thread.
     # Each worker packs the row it draws, so no drawn row waits for another
@@ -289,21 +292,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fields = CURVE_FIELDS[1:]  # all but the budget
         values = {f: float(np.median([getattr(r, f) for r in reports])) for f in fields}
         medians.append(ErrorReport(budget=budget, **values))
-    write_error_curve(out_dir / "curve.csv", medians)
+    write_error_curve(curve, medians)
 
     baseline_rows = [
         {"budget": budget, "mae": float(np.median([res[1][bi] for res in per_model]))}
         for bi, budget in enumerate(budgets)
     ]
     rows = [(r["budget"], repr(r["mae"])) for r in baseline_rows]
-    _write_rows(out_dir / "baseline.csv", [("budget", "mae")] + rows)
+    _write_rows(baseline, [("budget", "mae")] + rows)
 
     if len(budgets) >= 4:
         fit = fit_exp_decay(np.asarray(budgets, dtype=float), [m.mae for m in medians])
         fit_record = fit._asdict()
     else:  # the decay fit needs four points
         fit_record = dict.fromkeys(ExpDecayFit._fields)
-    _write_json(out_dir / "fit.json", fit_record)
+    _write_json(fit_path, fit_record)
     summary = {
         "spec": spec.to_dict(),
         "sort_models": args.models,
@@ -314,7 +317,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "baseline": baseline_rows,
         "fit": fit_record,
     }
-    _write_json(out_dir / "summary.json", summary)
+    _write_json(summary_path, summary)
     print(f"simulated {args.holdout} models over {len(budgets)} budgets into {out_dir}")
     return 0
 

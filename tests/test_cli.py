@@ -1296,14 +1296,14 @@ class TestOutputDirectories:
         assert loaded == [] and not out.exists()
 
 
-
-# (case, argv with {d} for the directory of the inputs and {t} for the
-# target, the target's file name, the input it names, the target's flag, and
-# what the error calls the input)
+# (case, argv with {d} for the directory of the inputs, {t} for the target
+# and {o} for its directory, the target's file name, the input it names, the
+# target's flag, and what the error calls the input)
 INSERT = ["insert-sample", "--cache", "{d}/cache.llbc", "--outcomes", "{d}/col.csv",
           "--budget", "5"]
 METRICS = ["metrics", "--truth", "{d}/truth.csv", "--pred", "{d}/pred.json",
            "--perm", "{d}/sorted.llpm", "--out", "{t}"]
+EVAL = ["eval-model", "--budgets", "16", "--out", "{o}"]
 TARGET_ONTO_INPUT = [
     ("sort-out-cache", ["sort", "--cache", "{d}/cache.llbc", "--out", "{t}"],
      "cache.llbc", "cache.llbc", "--out", "the --cache file"),
@@ -1321,12 +1321,23 @@ TARGET_ONTO_INPUT = [
     ("metrics-out-truth", METRICS, "truth.csv", "truth.csv", "--out", "the --truth file"),
     ("metrics-out-perm", METRICS, "sorted.llpm", "sorted.llpm", "--out",
      "the --perm file"),
+    ("eval-report-truth",
+     EVAL + ["--perm", "{d}/sorted.llpm", "--truth", "{d}/report_16.json"],
+     "report_16.json", "report_16.json", "--out", "the --truth file"),
+    ("eval-prediction-perm",
+     EVAL + ["--perm", "{d}/prediction_16.json", "--truth", "{d}/truth.csv"],
+     "prediction_16.json", "prediction_16.json", "--out", "the --perm file"),
+    ("eval-curve-cache",
+     EVAL + ["--perm", "{d}/sorted.llpm", "--cache", "{d}/curve.csv",
+             "--truth", "{d}/truth.csv"],
+     "curve.csv", "curve.csv", "--out", "the --cache file"),
 ]
 
 
 class TestTargetRule:
     """No target may name an input or another target, however it is
-    spelled: one ``error:`` line before any input is read."""
+    spelled: one ``error:`` line before any input is read (but
+    ``eval-model``'s ``--perm``, whose length names the budgets)."""
 
     @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
     @pytest.mark.parametrize(
@@ -1342,14 +1353,20 @@ class TestTargetRule:
         write_vector(tmp_path / "col.csv", np.ones(12, dtype=bool))
         write_vector(tmp_path / "truth.csv", np.ones(60, dtype=bool))
         (tmp_path / "pred.json").write_text('{"threshold": 3}\n')
+        write_vector(tmp_path / "report_16.json", np.ones(60, dtype=bool))
+        (tmp_path / "prediction_16.json").write_bytes(perm_path.read_bytes())
+        (tmp_path / "curve.csv").write_bytes(cache_path.read_bytes())
+        readers = ["import_csv", "load_cache", "_read_json", "_read_outcomes"]
+        if argv[0] != "eval-model":  # whose --perm length names its targets
+            readers.append("load_permutation")
         loaded = []
-        for reader in ("import_csv", "load_cache", "load_permutation", "_read_json",
-                       "_read_outcomes"):
+        for reader in readers:
             monkeypatch.setattr(cli, reader, lambda *a, **k: loaded.append(a))
         target = tmp_path / spelling.replace("P", target_name)
         before = (tmp_path / name).read_bytes()
         capsys.readouterr()
-        assert main([a.format(d=tmp_path, t=target) for a in argv]) == 1
+        argv = [a.format(d=tmp_path, t=target, o=target.parent) for a in argv]
+        assert main(argv) == 1
         # a sidecar is the --out path with the suffix .llsm
         shown = target.with_suffix(".llsm") if flag.endswith("sidecar") else target
         assert capsys.readouterr().err == (
