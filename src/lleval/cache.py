@@ -604,23 +604,28 @@ def _home(path: Path) -> Path:
 
 
 def _check_targets(targets: list[tuple], inputs: list[tuple]) -> None:
-    """The one rule for a command's targets, checked before it reads any
-    input: each (flag, path) target's parent is a directory or can be made
-    (``_home``), and none resolves to an input or an earlier target, which
-    its write would replace.  Pairs whose path is None are skipped; a target
-    named ``"<flag>'s <file>"`` is one that ``<flag>`` implies.  Makes nothing."""
-    seen = {Path(path).resolve(): name for name, path in inputs if path}
+    """The one rule for a command's (flag, path) targets, checked before it
+    reads any input: no target is a directory, each parent is one or can be
+    made (``_home``), and none is, holds or lies inside an input or an
+    earlier target.  Pairs whose path is None are skipped; a target named
+    ``"<flag>'s <file>"`` is one that ``<flag>`` implies.  Makes nothing."""
+    seen = {Path(path).resolve(): (name, path) for name, path in inputs if path}
     for name, path in targets:
         if not path:
             continue
-        _home(Path(path))
         resolved = Path(path).resolve()
-        if resolved in seen:
-            other = seen[resolved]
-            own = other.removeprefix(f"{name}'s ")
-            what = f"its own {own}" if own != other else f"the {other} file"
-            raise ValueError(f"{name} {path} is {what}; give it another path")
-        seen[resolved] = name
+        if resolved.is_dir():
+            raise IsADirectoryError(f"{name} {path} is a directory; give a file path")
+        _home(Path(path))
+        for known, (other, given) in seen.items():
+            if known == resolved:
+                own = other.removeprefix(f"{name}'s ")
+                what = f"its own {own}" if own != other else f"the {other} file"
+                raise ValueError(f"{name} {path} is {what}; give it another path")
+            if known in resolved.parents or resolved in known.parents:
+                raise ValueError(f"{name} {path} and {other} {given} would nest, "
+                                 "one inside the other; give them separate paths")
+        seen[resolved] = name, path
 
 
 @contextlib.contextmanager

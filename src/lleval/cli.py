@@ -20,6 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from . import synthgen  # simulate looks generate up when it runs
 from .baseline import copy_nearest_expand_from_truth
 from .cache import (
     _appending_writer,
@@ -50,6 +51,7 @@ from .search import (
     prediction_to_dict,
 )
 from .sort import sort_by_confidence_sum, sort_by_sum, sort_models_by_sum
+from .synthgen import SynthSpec, _SpecError
 
 PAPER_BUDGETS = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768)
 
@@ -142,12 +144,8 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     kinds = ("report", "prediction") if args.truth is not None else ("prediction",)
     paths = {(kind, b): out_dir / f"{kind}_{b}.json" for b in budgets for kind in kinds}
     curve = out_dir / "curve.csv" if args.truth is not None else None
-    inputs = [("--perm", args.perm), ("--cache", args.cache), ("--truth", args.truth)]
+    inputs = [("--perm", args.perm), ("--truth", args.truth)]
     _check_targets([("--out", path) for path in [*paths.values(), curve]], inputs)
-    if args.cache:
-        cache = load_cache(args.cache)
-        if cache.num_samples != total:
-            raise ValueError("cache and permutation disagree on sample count")
     strategy = SamplingStrategy(args.strategy)
     if args.truth is not None:
         truth = _read_outcomes(args.truth, total, "truth")
@@ -235,23 +233,19 @@ _SPEC_FLAGS = {
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .synthgen import SynthSpec, _SpecError, generate
-
     threads = _thread_count()
     if args.holdout < 1:
         raise ValueError("--holdout must be at least 1")
     if args.models < 1:
         raise ValueError("--models must be at least 1")
-    lo, hi = SynthSpec.ability_range
-    lo = lo if args.ability_lo is None else args.ability_lo
-    hi = hi if args.ability_hi is None else args.ability_hi
-    options = {"temperature": args.tau, "noise": args.noise, "seed": args.seed}
     try:
         spec = SynthSpec(
             num_models=args.models + args.holdout,
             num_samples=args.samples,
-            ability_range=(lo, hi),
-            **{name: value for name, value in options.items() if value is not None},
+            ability_range=(args.ability_lo, args.ability_hi),
+            temperature=args.tau,
+            noise=args.noise,
+            seed=args.seed,
         )
     except _SpecError as exc:  # the spec knows the rule, the flag names it
         raise ValueError(f"{_SPEC_FLAGS[exc.field]} {exc.rule}, not {exc.value}") from None
@@ -265,7 +259,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # finds none idle, so LLEVAL_THREADS past the work starts no extra thread.
     # Each worker packs the row it draws, so no drawn row waits for another
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        cache_full, _, _ = generate(spec, map=pool.map)
+        cache_full, _, _ = synthgen.generate(spec, map=pool.map)
         if args.save_cache:
             save_cache(cache_full, args.save_cache)
         sort_cache = cache_full.first_models(args.models)
@@ -373,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-model", help="predict a new model from few samples")
     p.add_argument("--perm", required=True)
-    p.add_argument("--cache")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--truth", help="full 0/1 outcome row for scoring")
     source.add_argument("--oracle-cmd", help="command answering 0/1 per sample index")
@@ -399,11 +392,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, required=True, help="models used for sorting")
     p.add_argument("--holdout", type=int, required=True, help="models evaluated")
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--ability-lo", type=float)
-    p.add_argument("--ability-hi", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--tau", type=float, default=SynthSpec.temperature)
+    p.add_argument("--noise", type=float, default=SynthSpec.noise)
+    p.add_argument("--ability-lo", type=float, default=SynthSpec.ability_range[0])
+    p.add_argument("--ability-hi", type=float, default=SynthSpec.ability_range[1])
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--budgets")
     p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
     p.add_argument("--save-cache", help="also write the generated cache as LLBC")

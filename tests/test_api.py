@@ -2,7 +2,8 @@
 and its Command line section names every option; the package's modules
 import only what they use, the ranking and search layers depend on the
 cache alone, one walker reads a cache's bands, one writer makes
-directories, and every worker thread is an executor's."""
+directories, every command checks its targets before it reads an input,
+and every worker thread is an executor's."""
 
 import argparse
 import ast
@@ -136,6 +137,32 @@ def test_commands_check_targets_only_through_the_rule():
     named |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert not named & {"_check_parents", "mkdir", "makedirs"}
     assert "_check_targets" in named
+
+
+# what a command reads its inputs with; the rule must come before each of them
+INPUT_READERS = {"load_cache", "load_permutation", "_read_outcomes", "_read_json",
+                 "import_csv", "generate"}
+
+
+def test_every_command_checks_its_targets_before_reading():
+    """Each ``_cmd_*`` calls ``_check_targets`` once, and no input reader
+    before it (but ``eval-model``'s ``load_permutation``, whose length names
+    the files), so a bad target costs no read, draw or query."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(commands) == 6
+    for command in commands:
+        calls = [(node, getattr(node.func, "attr", getattr(node.func, "id", None)))
+                 for node in ast.walk(command) if isinstance(node, ast.Call)]
+        checks = [node for node, name in calls if name == "_check_targets"]
+        assert len(checks) == 1, f"{command.name} calls _check_targets {len(checks)} times"
+        end = (checks[0].end_lineno, checks[0].end_col_offset)
+        early = {name for node, name in calls
+                 if name in INPUT_READERS and (node.lineno, node.col_offset) < end}
+        if command.name == "_cmd_eval_model":
+            early.discard("load_permutation")
+        assert not early, f"{command.name} calls {sorted(early)} before _check_targets"
 
 
 def test_no_module_starts_its_own_thread():

@@ -160,6 +160,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             AccuracyCache.from_dense(conf >= 0.5, conf)
 
+    @pytest.mark.parametrize(
+        "m, n, shape, match",
+        [(-1, 8, (0, 1), "non-negative"), (1, -8, (1, 0), "non-negative"),
+         (2, 9, (2, 1), r"bits shape \(2, 1\) does not match 2x9"),
+         (2, 8, (1, 1), r"bits shape \(1, 1\) does not match 2x8")],
+    )
+    def test_dimensions_and_bits_shape_checked(self, m, n, shape, match):
+        with pytest.raises(ValueError, match=match):
+            AccuracyCache(m, n, np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "other",
+        ["cache", AccuracyCache.from_dense(np.zeros((3, 2), dtype=bool)),
+         AccuracyCache.from_dense(np.zeros((2, 3), dtype=bool), np.zeros((2, 3), np.float32))],
+        ids=["not-a-cache", "another-shape", "only-confidences-differ"],
+    )
+    def test_unequal_to_other_values(self, other):
+        cache = AccuracyCache.from_dense(np.zeros((2, 3), dtype=bool))
+        assert cache.__eq__(other) is (NotImplemented if other == "cache" else False)
+        assert cache != other and other != cache
+
     def test_non_binary_dense_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
             AccuracyCache.from_dense(np.array([[0, 2]]))
@@ -1273,6 +1294,27 @@ class TestPermutationType:
     def test_empty(self):
         assert len(Permutation(np.array([], dtype=np.int64))) == 0
 
+    @pytest.mark.parametrize(
+        "order, match",
+        [(np.zeros((2, 2), dtype=np.int64), "1-dimensional"),
+         (np.array([1.0, 0.0]), "integral")],
+        ids=["2-D", "float"],
+    )
+    def test_rejects_a_non_integral_or_2d_order(self, order, match):
+        with pytest.raises(ValueError, match=match):
+            Permutation(order)
+
+    def test_narrow_integers_widen_to_int64(self):
+        order = np.array([2, 0, 1], dtype=np.uint16)
+        perm = Permutation(order)
+        assert perm.order.dtype == np.int64
+        assert np.array_equal(perm.order, order)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_sort_result_sums_must_match_the_permutation(self, length):
+        with pytest.raises(ValueError, match="sums length"):
+            SortResult(Permutation(np.arange(3)), np.zeros(length), SortMethod.SUM)
+
 
 class TestCallerArrays:
     """Each artifact freezes a view, never the array its caller handed in."""
@@ -1326,3 +1368,7 @@ class TestThresholdVectorType:
             ThresholdVector(3, 4)
         with pytest.raises(ValueError):
             ThresholdVector(3, -1)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="length must be non-negative"):
+            ThresholdVector(-1, 0)

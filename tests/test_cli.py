@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 
@@ -225,8 +226,6 @@ class TestEvalModel:
                 "eval-model",
                 "--perm",
                 str(perm_path),
-                "--cache",
-                str(cache_path),
                 "--truth",
                 str(truth_path),
                 "--budgets",
@@ -458,6 +457,63 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["sort", "--help"]) == 0
         assert "--method" in capsys.readouterr().out
+
+    def test_eval_model_takes_no_cache(self, small_setup, capsys):
+        """A new model is evaluated from the permutation alone; a cache
+        beside it could only be paired with it unchecked."""
+        tmp_path, dense, cache_path, perm_path = small_setup
+        write_vector(tmp_path / "truth.csv", dense[0])
+        assert main(["eval-model", "--perm", str(perm_path), "--cache", str(cache_path),
+                     "--truth", str(tmp_path / "truth.csv"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --cache") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_budgets_naming_none_rejected(self, small_setup, capsys):
+        tmp_path, dense, cache_path, perm_path = small_setup
+        write_vector(tmp_path / "truth.csv", dense[0])
+        assert main(["eval-model", "--perm", str(perm_path), "--truth",
+                     str(tmp_path / "truth.csv"), "--budgets", ",",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: no budgets to evaluate\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_insert_sample_into_a_cache_of_no_models(self, tmp_path, capsys):
+        cache_path = tmp_path / "empty.llbc"
+        save_cache(AccuracyCache.from_dense(np.zeros((0, 5), dtype=bool)), cache_path)
+        write_vector(tmp_path / "col.csv", [])
+        assert main(["insert-sample", "--cache", str(cache_path), "--outcomes",
+                     str(tmp_path / "col.csv"), "--budget", "1"]) == 1
+        assert capsys.readouterr().err == "error: cache has no models to rank\n"
+
+    @pytest.mark.parametrize("flag", ["--holdout", "--models"])
+    def test_simulate_needs_a_model_on_each_side(self, tmp_path, capsys, flag):
+        counts = {"--models": "3", "--holdout": "1", flag: "0"}
+        argv = ["simulate", *[a for pair in counts.items() for a in pair],
+                "--samples", "50", "--out", str(tmp_path / "sim")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(["--help"], 0), (["rank"], 2),
+         (["import", "--csv", "{d}/absent.csv", "--out", "{d}/c.llbc"], 1)],
+        ids=["help", "usage-error", "bad-input"],
+    )
+    def test_module_entry_point_exits_with_the_status(self, tmp_path, argv, status):
+        src = os.path.dirname(os.path.dirname(lleval.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lleval.cli", *(a.format(d=tmp_path) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == status
+        if status:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInsertSample:
@@ -1327,17 +1383,43 @@ TARGET_ONTO_INPUT = [
     ("eval-prediction-perm",
      EVAL + ["--perm", "{d}/prediction_16.json", "--truth", "{d}/truth.csv"],
      "prediction_16.json", "prediction_16.json", "--out", "the --perm file"),
-    ("eval-curve-cache",
-     EVAL + ["--perm", "{d}/sorted.llpm", "--cache", "{d}/curve.csv",
-             "--truth", "{d}/truth.csv"],
-     "curve.csv", "curve.csv", "--out", "the --cache file"),
+    ("eval-curve-truth",
+     EVAL + ["--perm", "{d}/sorted.llpm", "--truth", "{d}/curve.csv"],
+     "curve.csv", "curve.csv", "--out", "the --truth file"),
+]
+
+
+ASK = ["--oracle-cmd", "ask"]  # never run: _command_oracle is patched
+NEST = " would nest, one inside the other; give them separate paths"
+# a target that is a directory, or that holds or lies inside another target:
+# (id, argv, the target's plain name P, directories made first, the error)
+DIRECTORY_OR_NESTED = [
+    ("insert-append-out-dir",
+     ["insert-sample", "--cache", "{d}/cache.llbc", *ASK, "--budget", "4",
+      "--append-out", "{t}"],
+     "G", ["G"], "--append-out {t} is a directory; give a file path"),
+    ("eval-prediction-dir",
+     ["eval-model", "--perm", "{d}/sorted.llpm", *ASK, "--budgets", "4", "--out", "{t}"],
+     "Ev", ["Ev/prediction_4.json"],
+     "--out {t}/prediction_4.json is a directory; give a file path"),
+    ("import-out-dir", ["import", "--csv", "{d}/matrix.csv", "--out", "{t}"],
+     "D", ["D"], "--out {t} is a directory; give a file path"),
+    ("simulate-save-cache-holds-out",
+     ["simulate", "--models", "10", "--holdout", "2", "--samples", "200",
+      "--budgets", "8", "--out", "{d}/X", "--save-cache", "{t}"],
+     "X", [], "--save-cache {t} and --out {d}/X/curve.csv" + NEST),
+    ("insert-report-inside-append-out",
+     ["insert-sample", "--cache", "{d}/cache.llbc", *ASK, "--budget", "4",
+      "--append-out", "{d}/R", "--report", "{t}"],
+     "R/rank.json", [], "--report {t} and --append-out {d}/R" + NEST),
 ]
 
 
 class TestTargetRule:
-    """No target may name an input or another target, however it is
-    spelled: one ``error:`` line before any input is read (but
-    ``eval-model``'s ``--perm``, whose length names the budgets)."""
+    """No target may be a directory, or name, hold or lie inside an input or
+    another target, however it is spelled: one ``error:`` line before any
+    input is read (but ``eval-model``'s ``--perm``, whose length names the
+    budgets)."""
 
     @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
     @pytest.mark.parametrize(
@@ -1376,6 +1458,44 @@ class TestTargetRule:
         assert (tmp_path / name).read_bytes() == before
         assert not list(tmp_path.rglob("*.tmp"))
         assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
+    @pytest.mark.parametrize(
+        "argv, target_name, dirs, error", [case[1:] for case in DIRECTORY_OR_NESTED],
+        ids=[case[0] for case in DIRECTORY_OR_NESTED],
+    )
+    def test_directory_or_nested_target_is_refused(
+        self, small_setup, monkeypatch, capsys, spelling, argv, target_name, dirs, error
+    ):
+        """Refused before the work or the queries are paid for, not when the
+        rename, or a write into the other target, would fail."""
+        import lleval.synthgen
+
+        tmp_path, dense, cache_path, perm_path = small_setup
+        for name in dirs:
+            (tmp_path / name).mkdir(parents=True)
+        loaded, asked = [], []
+        for reader in ["import_csv", "load_cache", "_read_json", "_read_outcomes"]:
+            monkeypatch.setattr(cli, reader, lambda *a, **k: loaded.append(a))
+        monkeypatch.setattr(lleval.synthgen, "generate", lambda *a, **k: loaded.append(a))
+        monkeypatch.setattr(cli, "_command_oracle", lambda *a: asked.append(a))
+        before = sorted(tmp_path.rglob("*"))
+        target = tmp_path / spelling.replace("P", target_name)
+        capsys.readouterr()
+        assert main([a.format(d=tmp_path, t=target) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {error.format(d=tmp_path, t=target)}\n"
+        assert loaded == [] and asked == []
+        assert sorted(tmp_path.rglob("*")) == before  # no *.tmp, file or directory
+
+    def test_root_as_a_target_is_refused(self, small_setup, monkeypatch, capsys):
+        """``/`` has no parent; the rule names it, not an empty ``error:``."""
+        tmp_path = small_setup[0]
+        loaded = []
+        monkeypatch.setattr(cli, "import_csv", lambda *a, **k: loaded.append(a))
+        capsys.readouterr()
+        assert main(["import", "--csv", str(tmp_path / "matrix.csv"), "--out", "/"]) == 1
+        assert capsys.readouterr().err == "error: --out / is a directory; give a file path\n"
+        assert loaded == []
 
     @pytest.mark.parametrize("spelling", ["P", "sub/../P"])
     def test_report_onto_the_cache_it_grows_is_refused(
@@ -1506,7 +1626,7 @@ class TestGoldenArtifacts:
         write_vector(truth_path, dense[3] ^ (np.arange(60) % 7 == 0))
         out_dir = tmp_path / "eval"
         rc = main(
-            ["eval-model", "--perm", str(perm_path), "--cache", str(cache_path),
+            ["eval-model", "--perm", str(perm_path),
              "--truth", str(truth_path), "--budgets", "4,9,30,60",
              "--strategy", "random", "--seed", "5", "--out", str(out_dir)]
         )

@@ -83,6 +83,9 @@ class TestAggError:
             pred = ThresholdVector(n, k)
             assert agg_error(truth, pred) <= mae(truth, pred, identity_perm(n)) + 1e-12
 
+    def test_empty_row_scores_zero(self):
+        assert agg_error(np.zeros(0, dtype=bool), ThresholdVector(0, 0)) == 0.0
+
 
 class TestAdversarialConstruction:
     def test_first_available_flips(self):
@@ -160,6 +163,16 @@ class TestErrorDecomposition:
     def test_report_bounds_validated(self):
         with pytest.raises(ValueError):
             ErrorReport(1.5, 0.0, 0.0, 0.0, 1)
+
+    def test_report_budget_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            ErrorReport(0.0, 0.0, 0.0, 0.0, -1)
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_permutation_of_another_length_rejected(self, length):
+        with pytest.raises(ValueError, match="permutation length does not match"):
+            error_decomposition(np.ones(5, dtype=bool), ThresholdVector(5, 2),
+                                identity_perm(length))
 
 
 def fresh_report(truth, order, k, budget=0):
@@ -409,6 +422,11 @@ class TestRankCorrelation:
         with pytest.raises(ValueError):
             rank_correlation(np.array([1.0]), np.array([2.0]))
 
+    def test_two_dimensional_rejected(self):
+        x = np.arange(6.0).reshape(2, 3)
+        with pytest.raises(ValueError, match="1-dimensional"):
+            rank_correlation(x, x)
+
 
 class TestFitExpDecay:
     def test_recovers_exact_parameters(self):
@@ -449,3 +467,7 @@ class TestFitExpDecay:
     def test_requires_positive_budgets(self):
         with pytest.raises(ValueError):
             fit_exp_decay(np.array([0.0, 1, 2, 3]), np.zeros(4))
+
+    def test_requires_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            fit_exp_decay(np.arange(1.0, 6.0), np.zeros(4))

@@ -223,6 +223,12 @@ class TestExtrapolate:
         with pytest.raises(ValueError, match="empty"):
             extrapolate(selection, 5)
 
+    @pytest.mark.parametrize("last", [8, 9])  # at the total, then past it
+    def test_positions_beyond_the_total_rejected(self, last):
+        selection = SampleSelection(np.array([2, 5, last]), np.zeros(3, dtype=bool))
+        with pytest.raises(ValueError, match="exceed total"):
+            extrapolate(selection, 8)
+
 
 class TestSampleSelectionType:
     def test_positions_must_increase(self):
@@ -232,6 +238,16 @@ class TestSampleSelectionType:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError, match="length"):
             SampleSelection(np.array([1, 2]), np.array([0], dtype=bool))
+
+    @pytest.mark.parametrize(
+        "positions, match",
+        [(np.zeros((1, 2), dtype=np.int64), "1-dimensional"),
+         (np.array([-1, 2]), "non-negative")],
+        ids=["2-D", "negative"],
+    )
+    def test_positions_must_be_a_row_of_indices(self, positions, match):
+        with pytest.raises(ValueError, match=match):
+            SampleSelection(positions, np.zeros(2, dtype=bool))
 
     def test_json_round_trip(self):
         selection = SampleSelection(

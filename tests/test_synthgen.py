@@ -172,6 +172,10 @@ class TestHoldout:
         assert np.array_equal(a, holdout_abilities(spec, 50))
         assert a.min() >= 0.2 and a.max() <= 0.6
 
+    def test_holdout_abilities_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            holdout_abilities(SynthSpec(5, 10), -1)
+
 
 class TestDifficultyRecovery:
     def test_sort_recovers_true_order_without_noise(self):
