@@ -1,13 +1,16 @@
-"""Bit-packed outcome cache, the artifact types, and every on-disk format.
+"""Bit-packed outcome cache, the artifact types, and every binary format.
 
 The cache records, for m models and n samples, whether model i got sample j
 right.  Rows are packed 8 columns per byte (column j sits at bit j % 8 of
 byte j // 8, least-significant bit first); padding bits past column n are
 always zero.  An optional float32 matrix carries per-cell confidences.
-This module is the only one that reads or writes the packed bits, and the
-only one that knows a file format: the LLBC cache, the LLPM permutation,
-the LLSM totals, the JSON and CSV text artifacts and the input files.  It
-also holds the one rule for what an outcome row is (``_outcomes``).
+This module alone reads or writes the packed bits, knows a binary format
+(the LLBC cache, LLPM permutation and LLSM totals), reads the input files
+and encodes the JSON and CSV artifacts, whose fields their makers set: the
+prediction record's in search.py, the error report's and curve CSV's in
+metrics.py, and ``simulate``'s ``baseline.csv`` and ``summary.json`` and
+``insert-sample``'s record in cli.py.  It also holds the one rule for what
+an outcome row is (``_outcomes``).
 """
 
 from __future__ import annotations
@@ -594,9 +597,12 @@ class SortResult:
 # -- persistence -----------------------------------------------------------
 
 
-def _home(path: Path) -> Path:
-    """The nearest existing directory above ``path``, or one error naming
-    the regular file in the way."""
+def _home(path: Path, shown: str) -> Path:
+    """The nearest existing directory above ``path``; or one error, naming
+    ``path`` as ``shown`` if it is a directory itself (``/``, ``.`` and ``""``
+    among them), or else the regular file in the way."""
+    if path.resolve().is_dir():
+        raise IsADirectoryError(f"{shown} is a directory; give a file path")
     found = next(p for p in path.parents if p.exists())
     if not found.is_dir():
         raise NotADirectoryError(f"{found} is not a directory")
@@ -609,14 +615,12 @@ def _check_targets(targets: list[tuple], inputs: list[tuple]) -> None:
     made (``_home``), and none is, holds or lies inside an input or an
     earlier target.  Pairs whose path is None are skipped; a target named
     ``"<flag>'s <file>"`` is one that ``<flag>`` implies.  Makes nothing."""
-    seen = {Path(path).resolve(): (name, path) for name, path in inputs if path}
+    seen = {Path(path).resolve(): (name, path) for name, path in inputs if path is not None}
     for name, path in targets:
-        if not path:
+        if path is None:
             continue
+        _home(Path(path), f"{name} {path}")
         resolved = Path(path).resolve()
-        if resolved.is_dir():
-            raise IsADirectoryError(f"{name} {path} is a directory; give a file path")
-        _home(Path(path))
         for known, (other, given) in seen.items():
             if known == resolved:
                 own = other.removeprefix(f"{name}'s ")
@@ -635,17 +639,17 @@ def _replacing_writer(path: str | Path, size: int):
     old file and mapped readers never see it shrink.
 
     The temporary file goes in the target's nearest existing directory
-    (``_home``, so a blocked parent fails there, naming it), and the missing
-    parents are made only once the file is whole, just before the rename:
-    a write that fails, or is abandoned, removes the temporary file and has
-    made nothing else.  The temporary file's ``size`` bytes are reserved
-    before the first write (``os.posix_fallocate``, where there is one):
-    the file system allocates its blocks at once, not a page at a time,
-    and a full disk fails before any data is written.  A file system that
-    cannot reserve space is written as is.
+    (``_home``, so a target that is a directory, or a blocked parent, fails
+    there, naming it), and the missing parents are made only once the file
+    is whole, just before the rename: a write that fails, or is abandoned,
+    removes the temporary file and has made nothing else.  Its ``size``
+    bytes are reserved before the first write (``os.posix_fallocate``,
+    where there is one): the file system allocates its blocks at once, not
+    a page at a time, and a full disk fails before any data is written.  A
+    file system that cannot reserve space is written as is.
     """
     path = Path(path)
-    tmp = _home(path) / f".{path.name}.{os.getpid()}.{next(_TMP_NUMBERS)}.tmp"
+    tmp = _home(path, str(path)) / f".{path.name}.{os.getpid()}.{next(_TMP_NUMBERS)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             if size and hasattr(os, "posix_fallocate"):

@@ -23,6 +23,7 @@ import numpy as np
 from . import synthgen  # simulate looks generate up when it runs
 from .baseline import copy_nearest_expand_from_truth
 from .cache import (
+    Permutation,
     _appending_writer,
     _check_targets,
     _read_json,
@@ -46,6 +47,7 @@ from .metrics import (
 )
 from .search import (
     SamplingStrategy,
+    _check_budget,
     evaluate,
     prediction_from_dict,
     prediction_to_dict,
@@ -70,8 +72,7 @@ def _parse_budgets(text: str | None, total: int) -> list[int]:
     if not budgets:
         raise ValueError("no budgets to evaluate")
     for b in budgets:
-        if not 1 <= b <= total:
-            raise ValueError(f"budget {b} outside [1, {total}]")
+        _check_budget(b, total)
     return budgets
 
 
@@ -97,6 +98,16 @@ def _command_oracle(command: str):
         return answer == b"1"
 
     return lambda indices: [ask(i) for i in indices.tolist()]
+
+
+def _oracle(path: str | None, name: str, command: str | None, perm: Permutation):
+    """The batch oracle for the row file ``path`` (``--truth``, ``--outcomes``),
+    one 0/1 answer per index of ``perm``, and the row's scorer under ``perm``;
+    or, with no file, for ``--oracle-cmd``, and None."""
+    if path is None:
+        return _command_oracle(command), None
+    row = _read_outcomes(path, len(perm), name)
+    return row.__getitem__, RankedTruth(row, perm)
 
 
 def _sums_path(perm_path: str | Path) -> Path:
@@ -135,8 +146,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_model(args: argparse.Namespace) -> int:
-    if args.seed < 0:  # at either strategy, before any oracle query
-        raise ValueError(f"--seed must be non-negative, not {args.seed}")
     out_dir = Path(args.out)
     perm = load_permutation(args.perm)  # first: its length names the budgets and files
     total = len(perm)
@@ -146,19 +155,12 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
     curve = out_dir / "curve.csv" if args.truth is not None else None
     inputs = [("--perm", args.perm), ("--truth", args.truth)]
     _check_targets([("--out", path) for path in [*paths.values(), curve]], inputs)
-    strategy = SamplingStrategy(args.strategy)
-    if args.truth is not None:
-        truth = _read_outcomes(args.truth, total, "truth")
-        scorer = RankedTruth(truth, perm)  # one for every budget
-        oracle = truth.__getitem__
-    else:
-        oracle = _command_oracle(args.oracle_cmd)
-
+    oracle, scorer = _oracle(args.truth, "truth", args.oracle_cmd, perm)  # for every budget
     reports = []
     for budget in budgets:
         seed = _derived_seed(args.seed, budget)
-        pred, sel = evaluate(perm, oracle, budget, strategy, seed)
-        if args.truth is not None:
+        pred, sel = evaluate(perm, oracle, budget, args.strategy, seed)
+        if scorer is not None:
             reports.append(scorer.report(pred.k, budget))
             _write_json(paths["report", budget], reports[-1].to_dict())
         _write_json(paths["prediction", budget], prediction_to_dict(pred, sel))
@@ -169,8 +171,6 @@ def _cmd_eval_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_insert_sample(args: argparse.Namespace) -> int:
-    if args.seed < 0:  # at either strategy, before any oracle query
-        raise ValueError(f"--seed must be non-negative, not {args.seed}")
     # the one exemption: --append-out may grow its own --cache; its map outlives the rename
     grows = args.append_out and Path(args.append_out).resolve() == Path(args.cache).resolve()
     inputs = [("--cache", None if grows else args.cache), ("--outcomes", args.outcomes)]
@@ -178,34 +178,26 @@ def _cmd_insert_sample(args: argparse.Namespace) -> int:
     cache = load_cache(args.cache)
     if cache.num_models == 0:
         raise ValueError("cache has no models to rank")
-    budget = args.budget
-    if not 1 <= budget <= cache.num_models:  # before the grown file is reserved
-        raise ValueError(f"budget {budget} outside [1, {cache.num_models}]")
-    model_sort = sort_models_by_sum(cache)
-    strategy = SamplingStrategy(args.strategy)
-    if args.outcomes is not None:
-        outcomes = _read_outcomes(args.outcomes, cache.num_models, "outcomes")
-        oracle = outcomes.__getitem__
-    else:
-        oracle = _command_oracle(args.oracle_cmd)
+    _check_budget(args.budget, cache.num_models)  # before the grown file is reserved
+    models = sort_models_by_sum(cache).permutation
+    oracle, scorer = _oracle(args.outcomes, "outcomes", args.oracle_cmd, models)
     # the grown cache is written while the oracle answers, its new column zero
     # until ``put`` sets it
     grown = (_appending_writer(cache, args.append_out) if args.append_out
              else contextlib.nullcontext())
     with grown as put:
-        pred, sel = evaluate(model_sort.permutation, oracle, budget, strategy, args.seed)
+        pred, sel = evaluate(models, oracle, args.budget, args.strategy, args.seed)
         record = prediction_to_dict(pred, sel)
         record["difficulty_rank"] = pred.k  # models expected to solve it
-        if args.outcomes is not None:
-            report = RankedTruth(outcomes, model_sort.permutation).report(pred.k, budget)
-            record["report"] = report.to_dict()
+        if scorer is not None:
+            record["report"] = scorer.report(pred.k, args.budget).to_dict()
         if args.report:
             _write_json(args.report, record)
         else:
             print(json.dumps(record, indent=2, sort_keys=True))
         if put:
             column = np.zeros(cache.num_models, dtype=bool)
-            column[model_sort.permutation.order[: pred.k]] = True
+            column[models.order[: pred.k]] = True
             # a stored confidence binarizes at 0.5, so 0/1 round-trips the column
             put(column, None if cache.confidence is None else column.astype(np.float32))
     return 0
@@ -222,13 +214,12 @@ def _thread_count() -> int:
 
 
 # the simulate flags that set each SynthSpec field it can reject; --models
-# and --holdout are checked before the spec is built
+# and --holdout are checked before the spec is built, and --seed in main
 _SPEC_FLAGS = {
     "num_samples": "--samples",
     "ability_range": "--ability-lo/--ability-hi",
     "temperature": "--tau",
     "noise": "--noise",
-    "seed": "--seed",
 }
 
 
@@ -250,7 +241,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except _SpecError as exc:  # the spec knows the rule, the flag names it
         raise ValueError(f"{_SPEC_FLAGS[exc.field]} {exc.rule}, not {exc.value}") from None
     budgets = _parse_budgets(args.budgets, spec.num_samples)
-    strategy = SamplingStrategy(args.strategy)
     out_dir = Path(args.out)
     files = [out_dir / n for n in ("curve.csv", "baseline.csv", "fit.json", "summary.json")]
     curve, baseline, fit_path, summary_path = files
@@ -272,7 +262,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for budget in budgets:
                 seed = _derived_seed(spec.seed, h, budget)
                 pred, _ = evaluate(sort_result.permutation, truth.__getitem__,
-                                   budget, strategy, seed)
+                                   budget, args.strategy, seed)
                 reports.append(scorer.report(pred.k, budget))
                 guess = copy_nearest_expand_from_truth(sort_cache, truth, budget, seed)
                 baseline_maes.append(np.count_nonzero(guess != truth) / truth.size)
@@ -305,7 +295,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "spec": spec.to_dict(),
         "sort_models": args.models,
         "holdout_models": args.holdout,
-        "strategy": strategy.value,
+        "strategy": args.strategy,
         "budgets": budgets,
         "curve": [m.to_dict() for m in medians],
         "baseline": baseline_rows,
@@ -346,6 +336,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _path(text: str) -> str:
+    """The type of every path option: an empty path is refused as it is parsed."""
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lleval",
@@ -354,38 +351,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("import", help="convert a CSV outcome matrix to LLBC")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--csv", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.add_argument("--confidence", action="store_true")
     p.set_defaults(func=_cmd_import)
 
     p = sub.add_parser("sort", help="rank cache columns by difficulty")
-    p.add_argument("--cache", required=True)
+    p.add_argument("--cache", type=_path, required=True)
     p.add_argument("--method", choices=["sum", "conf"], default="sum")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=_cmd_sort)
 
     p = sub.add_parser("eval-model", help="predict a new model from few samples")
-    p.add_argument("--perm", required=True)
+    p.add_argument("--perm", type=_path, required=True)
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--truth", help="full 0/1 outcome row for scoring")
+    source.add_argument("--truth", type=_path, help="full 0/1 outcome row for scoring")
     source.add_argument("--oracle-cmd", help="command answering 0/1 per sample index")
     p.add_argument("--budgets")
-    p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=_cmd_eval_model)
 
     p = sub.add_parser("insert-sample", help="rank a new sample from few models")
-    p.add_argument("--cache", required=True)
+    p.add_argument("--cache", type=_path, required=True)
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--outcomes", help="full 0/1 outcome column for scoring")
+    source.add_argument("--outcomes", type=_path, help="full 0/1 outcome column for scoring")
     source.add_argument("--oracle-cmd", help="command answering 0/1 per model index")
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", help="write the rank estimate JSON here")
-    p.add_argument("--append-out", help="write the cache with the predicted column")
+    p.add_argument("--report", type=_path, help="write the rank estimate JSON here")
+    p.add_argument("--append-out", type=_path,
+                   help="write the cache with the predicted column")
     p.set_defaults(func=_cmd_insert_sample)
 
     p = sub.add_parser("simulate", help="synthetic end-to-end budget sweep")
@@ -398,24 +394,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ability-hi", type=float, default=SynthSpec.ability_range[1])
     p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--budgets")
-    p.add_argument("--strategy", choices=["uniform", "random"], default="uniform")
-    p.add_argument("--save-cache", help="also write the generated cache as LLBC")
-    p.add_argument("--out", required=True)
+    p.add_argument("--save-cache", type=_path, help="also write the generated cache as LLBC")
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("metrics", help="score a prediction against a truth row")
-    p.add_argument("--truth", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--perm", required=True)
-    p.add_argument("--out")
+    p.add_argument("--truth", type=_path, required=True)
+    p.add_argument("--pred", type=_path, required=True)
+    p.add_argument("--perm", type=_path, required=True)
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=_cmd_metrics)
 
+    for name in ("eval-model", "insert-sample", "simulate"):  # the Search commands
+        sub.choices[name].add_argument("--strategy", default=SamplingStrategy.UNIFORM.value,
+                                       choices=[s.value for s in SamplingStrategy])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # before any command reads, draws or asks
+            raise ValueError(f"--seed must be non-negative, not {args.seed}")
         return args.func(args)
     except SystemExit as exc:  # a usage error (2) or --help (0)
         return exc.code

@@ -135,26 +135,17 @@ def agg_error(truth: np.ndarray, pred: ThresholdVector) -> float:
 def adversarial_construction(truth: np.ndarray) -> np.ndarray:
     """Worst prediction that still matches the aggregate count exactly.
 
-    Flips every hit to a miss and compensates on the first available
-    positions of the other kind (complement when exactly balanced), giving
-    zero aggregate error and per-sample error 2 * min(acc, 1 - acc).
+    Flips every hit to a miss and compensates on the first misses (all of
+    them when exactly balanced); with more hits than misses, the complement
+    of that construction on the complement, giving zero aggregate error and
+    per-sample error 2 * min(acc, 1 - acc).
     """
     a = _outcomes(truth, name="truth")
-    n = a.size
-    if n == 0:
-        return a.copy()
-    s = int(a.sum())
-    y = a.copy()
-    if 2 * s < n:
-        y[a] = False
-        zeros = np.flatnonzero(~a)
-        y[zeros[:s]] = True
-    elif 2 * s > n:
-        y[~a] = True
-        ones = np.flatnonzero(a)
-        y[ones[: n - s]] = False
-    else:
-        y = ~a
+    hits = int(a.sum())
+    if 2 * hits > a.size:
+        return ~adversarial_construction(~a)
+    y = np.zeros_like(a)
+    y[np.flatnonzero(~a)[:hits]] = True
     return y
 
 

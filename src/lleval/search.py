@@ -63,18 +63,22 @@ class SampleSelection:
         return self.positions.size
 
 
-def uniform_positions(total: int, budget: int) -> np.ndarray:
-    """budget interior grid points: floor((j+1) * total / (budget+1))."""
+def _check_budget(budget: int, total: int) -> None:
+    """The one rule for a budget: 1 <= budget <= total."""
     if not 1 <= budget <= total:
         raise ValueError(f"budget {budget} outside [1, {total}]")
+
+
+def uniform_positions(total: int, budget: int) -> np.ndarray:
+    """budget interior grid points: floor((j+1) * total / (budget+1))."""
+    _check_budget(budget, total)
     j = np.arange(1, budget + 1, dtype=np.int64)
     return (j * total) // (budget + 1)
 
 
 def random_positions(total: int, budget: int, seed: int) -> np.ndarray:
     """budget distinct positions without replacement, sorted ascending."""
-    if not 1 <= budget <= total:
-        raise ValueError(f"budget {budget} outside [1, {total}]")
+    _check_budget(budget, total)
     positions = np.random.default_rng(seed).choice(total, size=budget, replace=False)
     positions.sort()
     return positions.astype(np.int64, copy=False)
@@ -192,7 +196,7 @@ def prediction_from_dict(record: dict) -> tuple[ThresholdVector, SampleSelection
         if key not in record:
             raise ValueError(f"prediction has no {key!r}")
     for key in ("threshold", "total"):
-        if not isinstance(record[key], (int, np.integer)):
+        if isinstance(record[key], bool) or not isinstance(record[key], (int, np.integer)):
             raise ValueError(f"prediction {key} {record[key]!r} is not a whole number")
     positions = np.asarray(record["positions"])
     if positions.size and positions.dtype.kind not in "iu":

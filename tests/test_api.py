@@ -3,7 +3,8 @@ and its Command line section names every option; the package's modules
 import only what they use, the ranking and search layers depend on the
 cache alone, one walker reads a cache's bands, one writer makes
 directories, every command checks its targets before it reads an input,
-and every worker thread is an executor's."""
+every worker thread is an executor's, and the Search commands share one
+copy of each rule: the seed check, the strategy and the budget range."""
 
 import argparse
 import ast
@@ -141,7 +142,7 @@ def test_commands_check_targets_only_through_the_rule():
 
 # what a command reads its inputs with; the rule must come before each of them
 INPUT_READERS = {"load_cache", "load_permutation", "_read_outcomes", "_read_json",
-                 "import_csv", "generate"}
+                 "import_csv", "generate", "_oracle"}
 
 
 def test_every_command_checks_its_targets_before_reading():
@@ -175,3 +176,37 @@ def test_no_module_starts_its_own_thread():
                  or (isinstance(node, ast.Name) and node.id == "Thread")
                  or (isinstance(node, ast.alias) and node.name == "Thread")]
         assert not named, f"{path.name} names threading.Thread"
+
+
+def test_cli_states_each_search_rule_once():
+    """``cli.py`` parses no strategy (``evaluate`` does), compares a seed
+    only in ``main``, before any command runs, and declares ``--strategy``
+    once, for the three Search commands."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    parsed = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "SamplingStrategy"]
+    assert not parsed, f"cli.py calls SamplingStrategy on line {parsed[0].lineno}"
+    (main,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"]
+    in_main = {id(node) for node in ast.walk(main)}
+    seeds = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(getattr(n, "attr", getattr(n, "id", getattr(n, "value", None)))
+                     == "seed" for n in ast.walk(node))]
+    assert seeds and all(id(node) in in_main for node in seeds), [
+        node.lineno for node in seeds if id(node) not in in_main]
+    declared = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == "--strategy"]
+    assert len(declared) == 1, [node.lineno for node in declared]
+    (subcommands,) = [a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    commands = [name for name, sub in subcommands.choices.items()
+                if "--strategy" in _options(sub)]
+    assert commands == ["eval-model", "insert-sample", "simulate"]
+
+
+def test_one_budget_range_rule():
+    """``search._check_budget`` is the one place that states the budget
+    range, so every budget is refused in the same words."""
+    copies = {path.name: path.read_text().count("outside [1, ")
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(copies.values()) == 1 and copies["search.py"] == 1, copies

@@ -1075,6 +1075,24 @@ class TestPersistence:
             "plain", "reserved", "unsupported"
         ]
 
+    @pytest.mark.parametrize("target", ["/", ".", "", "d"],
+                             ids=["root", "dot", "empty", "directory"])
+    @pytest.mark.parametrize("save, load, value", WRITERS)
+    def test_directory_target_is_refused_before_the_temporary_file(
+        self, tmp_path, monkeypatch, save, load, value, target
+    ):
+        """A target that is a directory, the root and the working directory
+        among them, is one error naming it, before any file is opened."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        opened = []
+        monkeypatch.setattr(lleval.cache, "open", lambda *a: opened.append(a), raising=False)
+        with pytest.raises(IsADirectoryError) as info:
+            save(value, target)
+        assert str(info.value) == f"{Path(target)} is a directory; give a file path"
+        assert opened == []
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]  # no *.tmp
+
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_length_keeps_old_file(self, tmp_path, extra):
         """A write one byte short of or past its declared length raises,

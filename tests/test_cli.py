@@ -1144,6 +1144,9 @@ class TestMetricsCommand:
             pytest.param({**PREDICTION, "threshold": 30.7},
                          "prediction threshold 30.7 is not a whole number",
                          id="fractional-threshold"),
+            *[pytest.param({**PREDICTION, key: True},
+                           f"prediction {key} True is not a whole number", id=f"true-{key}")
+              for key in ("threshold", "total")],
             *[pytest.param({k: v for k, v in PREDICTION.items() if k != key},
                            f"prediction has no {key!r}", id=f"no-{key}")
               for key in PREDICTION],
@@ -1551,6 +1554,65 @@ class TestTargetRule:
         assert grown.num_samples == 61
         assert np.array_equal(grown.to_dense()[:, :60], dense)
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+# each command's arguments, as flag: value, with every path option given
+VALID = {
+    "import": {"--csv": "{d}/matrix.csv", "--out": "{d}/c.llbc"},
+    "sort": {"--cache": "{d}/cache.llbc", "--out": "{d}/s.llpm"},
+    "eval-model": {"--perm": "{d}/sorted.llpm", "--truth": "{d}/truth.csv",
+                   "--out": "{d}/ev"},
+    "insert-sample": {"--cache": "{d}/cache.llbc", "--outcomes": "{d}/col.csv",
+                      "--budget": "4", "--report": "{d}/r.json", "--append-out": "{d}/g.llbc"},
+    "simulate": {"--models": "3", "--holdout": "1", "--samples": "50",
+                 "--save-cache": "{d}/sim.llbc", "--out": "{d}/sim"},
+    "metrics": {"--truth": "{d}/truth.csv", "--pred": "{d}/pred.json",
+                "--perm": "{d}/sorted.llpm", "--out": "{d}/m.json"},
+}
+NOT_PATHS = {"--budgets", "--oracle-cmd"}  # the string options that name no file
+
+
+def _path_options():
+    """(command, flag) of every option that takes a path, found from the
+    parser: each that takes a string, from no fixed choices, but NOT_PATHS."""
+    (commands,) = [a for a in cli._build_parser()._actions if a.choices]
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if (action.option_strings and action.nargs is None and action.type
+                    not in (int, float) and not action.choices):
+                flag = action.option_strings[0]
+                if flag not in NOT_PATHS:
+                    yield command, flag
+
+
+class TestEmptyPath:
+    @pytest.mark.parametrize("command, flag", list(_path_options()),
+                             ids=lambda v: v.lstrip("-"))
+    def test_empty_path_is_refused(self, small_setup, monkeypatch, capsys, command, flag):
+        """``""`` is no path: one line naming the flag before any input is
+        read, not a file in the working directory, a dropped output or a
+        reader's own error."""
+        import lleval.synthgen
+
+        tmp_path = small_setup[0]
+        monkeypatch.chdir(tmp_path)
+        write_vector(tmp_path / "col.csv", np.ones(12, dtype=bool))
+        write_vector(tmp_path / "truth.csv", np.ones(60, dtype=bool))
+        (tmp_path / "pred.json").write_text(json.dumps(PREDICTION))
+        loaded = []
+        for reader in ["import_csv", "load_cache", "load_permutation", "_read_json",
+                       "_read_outcomes", "_command_oracle"]:
+            monkeypatch.setattr(cli, reader, lambda *a, **k: loaded.append(a))
+        monkeypatch.setattr(lleval.synthgen, "generate", lambda *a, **k: loaded.append(a))
+        before = sorted(tmp_path.rglob("*"))
+        argv = [command]
+        for name, value in {**VALID[command], flag: ""}.items():
+            argv += [name, value.format(d=tmp_path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: argument {flag}: the path is empty\n"
+        assert loaded == []
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def _digests(out_dir):
